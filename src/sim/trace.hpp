@@ -7,6 +7,7 @@
 // -> flow run -> step -> provider attempt forms a tree that the telemetry
 // exporters (Chrome trace_event, JSONL) can render hierarchically. Ids are
 // assigned by telemetry::Tracer; spans appended directly keep id 0 (roots).
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -48,21 +49,21 @@ struct Span {
 
 /// Append-only trace. `add` is guarded by a mutex so parallel data-plane
 /// workers may record concurrently with the (single-threaded) sim engine.
-/// The read accessors (`spans`, `select`) hand out references into the
-/// underlying vector and therefore require quiescence: call them only when no
-/// writer is active (after engine().run() returns, or from the engine thread
-/// when no pool work records spans) — the usual post-run reporting pattern.
+/// The read accessors (`spans`, `select`, `find`, `children_of`) hand out
+/// references into the underlying vector and therefore require quiescence:
+/// call them only when no writer is active (after engine().run() returns, or
+/// from the engine thread when no pool work records spans) — the usual
+/// post-run reporting pattern.
+///
+/// `add` also maintains two indexes so `find` and `children_of` cost
+/// O(matches) rather than O(spans recorded): the first span of every
+/// (component, category, label) key, and a per-parent sibling list in
+/// recording order. Both hold 32-bit span indexes (a few bytes per span), so
+/// a trace holds at most 2^32 - 1 spans.
 class Trace {
  public:
-  void add(Span span) {
-    std::lock_guard lock(mu_);
-    span.seq = next_seq_++;
-    spans_.push_back(std::move(span));
-  }
-  void clear() {
-    std::lock_guard lock(mu_);
-    spans_.clear();
-  }
+  void add(Span span);
+  void clear();
 
   const std::vector<Span>& spans() const { return spans_; }
 
@@ -87,9 +88,41 @@ class Trace {
   std::vector<const Span*> sorted_spans() const;
 
  private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// Open-addressing slot: a key's 32-bit hash and the index of its first
+  /// span. Probes compare the span's fields, so a collision only costs a
+  /// probe, never a wrong answer.
+  struct KeySlot {
+    uint32_t hash = 0;
+    uint32_t span = kNone;
+    bool empty() const { return span == kNone; }
+  };
+  /// Open-addressing slot: one parent's children as an intrusive list
+  /// threaded through next_sibling_.
+  struct ParentSlot {
+    uint64_t parent = 0;
+    uint32_t head = kNone;
+    uint32_t tail = kNone;
+    bool empty() const { return head == kNone; }
+  };
+
+  /// Slot holding the key, or the empty slot where it would go.
+  size_t key_slot(uint32_t hash, const std::string& component,
+                  const std::string& category, const std::string& label) const;
+  /// Slot holding `parent_id`'s children, or the empty slot where they would.
+  size_t parent_slot(uint64_t parent_id) const;
+  void index_key(uint32_t at);
+  void index_child(uint32_t at);
+
   mutable std::mutex mu_;
   std::vector<Span> spans_;
   uint64_t next_seq_ = 0;
+  std::vector<KeySlot> first_by_key_;
+  size_t key_count_ = 0;
+  std::vector<ParentSlot> children_;
+  size_t parent_count_ = 0;
+  std::vector<uint32_t> next_sibling_;  ///< parallel to spans_
 };
 
 }  // namespace pico::sim

@@ -89,11 +89,13 @@ void FlightRecorder::close(const std::string& subject, sim::SimTime at) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = rings_.find(subject);
     if (it == rings_.end()) return;
-    it->second->close(at);
-    if (it->second->dump_requested() && sink_ && !dumped_[subject]) {
-      dumped_[subject] = true;
+    FlightRecord& ring = *it->second;
+    ring.close(at);
+    open_.erase(subject);
+    if (ring.dump_requested() && sink_ && !ring.dumped()) {
+      ring.mark_dumped();
       sink = sink_;
-      dump_doc = it->second->to_json();
+      dump_doc = ring.to_json();
     }
   }
   if (sink) sink(subject, dump_doc);
@@ -136,8 +138,8 @@ std::vector<std::pair<std::string, util::Json>> FlightRecorder::flush_dumps() {
     for (const auto& [subject, ring] : rings_) {
       if (!ring->dump_requested()) continue;
       util::Json doc = ring->to_json();
-      if (!dumped_[subject]) {
-        dumped_[subject] = true;
+      if (!ring->dumped()) {
+        ring->mark_dumped();
         unsent.emplace_back(subject, doc);
       }
       out.emplace_back(subject, std::move(doc));
@@ -153,8 +155,8 @@ std::vector<std::pair<std::string, util::Json>> FlightRecorder::flush_dumps() {
 std::vector<FlightRecorder::OpenFlow> FlightRecorder::open_flows() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<OpenFlow> out;
-  for (const auto& [subject, ring] : rings_) {
-    if (ring->closed()) continue;
+  out.reserve(open_.size());
+  for (const auto& [subject, ring] : open_) {
     out.push_back({subject, ring->opened(), ring->last_event()});
   }
   return out;
@@ -187,9 +189,11 @@ FlightRecord& FlightRecorder::ring_for(const std::string& subject,
              .emplace(subject, std::make_unique<FlightRecord>(
                                    subject, config_.ring_capacity, at))
              .first;
+    open_.emplace(subject, it->second.get());
   } else if (it->second->closed()) {
     // Reopened (e.g. dead-letter resubmission touching the old run id).
     it->second->reopen();
+    open_.emplace(subject, it->second.get());
     FlightEvent event;
     event.at = at;
     event.level = util::LogLevel::Info;

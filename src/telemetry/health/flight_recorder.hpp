@@ -65,6 +65,9 @@ class FlightRecord {
     if (dump_reason_.empty()) dump_reason_ = reason;
   }
   const std::string& dump_reason() const { return dump_reason_; }
+  /// The dump already reached the recorder's sink (delivered at most once).
+  bool dumped() const { return dumped_; }
+  void mark_dumped() { dumped_ = true; }
 
   uint64_t total() const { return total_; }
   uint64_t dropped() const { return total_ - events_.size(); }
@@ -80,6 +83,7 @@ class FlightRecord {
   sim::SimTime last_event_;
   bool closed_ = false;
   bool dump_requested_ = false;
+  bool dumped_ = false;
   std::string dump_reason_;
   uint64_t total_ = 0;
   std::deque<FlightEvent> events_;
@@ -93,8 +97,10 @@ struct FlightRecorderConfig {
 };
 
 /// Registry of flight rings plus the subject context stack. One mutex guards
-/// the map and stack; ring appends are O(1) under it (the sim engine is the
-/// only steady-state writer, so the lock is uncontended in practice).
+/// the maps and stack; ring appends are O(1) under it (the sim engine is the
+/// only steady-state writer, so the lock is uncontended in practice). Rings
+/// never go away, so the open ones are also kept in their own subject-sorted
+/// map: the watchdog scan costs O(open rings), not O(rings ever opened).
 class FlightRecorder {
  public:
   FlightRecorder() = default;
@@ -151,7 +157,7 @@ class FlightRecorder {
   std::vector<std::pair<std::string, util::Json>> flush_dumps();
 
   /// Subjects with rings still open (watchdog scan surface), with their
-  /// opened / last-activity timestamps.
+  /// opened / last-activity timestamps, sorted by subject.
   struct OpenFlow {
     std::string subject;
     sim::SimTime opened;
@@ -172,11 +178,11 @@ class FlightRecorder {
   mutable std::mutex mu_;
   FlightRecorderConfig config_;
   std::map<std::string, std::unique_ptr<FlightRecord>> rings_;
+  /// The rings not closed: inserted by ring_for, erased by close.
+  std::map<std::string, FlightRecord*> open_;
   std::vector<std::string> context_;
   DumpSink sink_;
   uint64_t events_recorded_ = 0;
-  /// Subjects whose dump already reached the sink (avoid double delivery).
-  std::map<std::string, bool> dumped_;
 };
 
 }  // namespace pico::telemetry::health

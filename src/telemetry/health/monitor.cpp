@@ -129,10 +129,11 @@ SloInput HealthMonitor::extract_slo_input(
 
 void HealthMonitor::run_watchdogs(sim::SimTime now,
                                   std::vector<HealthAlert>& out) {
-  const auto open = telemetry_->flight.open_flows();
+  size_t open_count = 0;
   size_t stalled = 0;
-  for (const auto& flow : open) {
+  for (const auto& flow : telemetry_->flight.open_flows()) {
     if (exempt_.count(flow.subject)) continue;
+    ++open_count;
     const double age_s = (now - flow.opened).seconds();
     const double quiet_s = (now - flow.last_event).seconds();
 
@@ -166,6 +167,7 @@ void HealthMonitor::run_watchdogs(sim::SimTime now,
       stall_flagged_.erase(flow.subject);
     }
   }
+  open_now_ = open_count;
   stalled_now_ = stalled;
 }
 
@@ -306,12 +308,8 @@ void HealthMonitor::tick() {
                labels)
         .set(l.score);
   }
-  size_t open_count = 0;
-  for (const auto& flow : telemetry_->flight.open_flows()) {
-    if (!exempt_.count(flow.subject)) ++open_count;
-  }
   metrics.gauge("health_open_flows", "Flows with open flight rings")
-      .set(static_cast<double>(open_count));
+      .set(static_cast<double>(open_now_));
   metrics
       .gauge("health_stalled_flows",
              "Open flows past the stall watchdog threshold")
@@ -328,11 +326,7 @@ HealthReport HealthMonitor::report() const {
   report.links = link_scores_;
   report.slos = slo_.status();
   report.alerts = alerts_;
-  size_t open_count = 0;
-  for (const auto& flow : telemetry_->flight.open_flows()) {
-    if (!exempt_.count(flow.subject)) ++open_count;
-  }
-  report.open_flows = open_count;
+  report.open_flows = open_now_;
   report.stalled_flows = stalled_now_;
   report.flight_rings = telemetry_->flight.ring_count();
   report.flight_events = telemetry_->flight.events_recorded();

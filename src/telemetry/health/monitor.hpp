@@ -111,6 +111,8 @@ class HealthMonitor {
   /// One evaluation pass; also callable directly (tests, campaign end).
   void tick();
 
+  /// Current scores and alert history; the open/stalled flow counts are
+  /// those of the last tick().
   HealthReport report() const;
 
   /// Last computed broker-facing scores (refreshed each tick()). Cheap
@@ -155,6 +157,8 @@ class HealthMonitor {
   std::set<std::string> exempt_;
   std::set<std::string> deadline_flagged_;
   std::set<std::string> stall_flagged_;
+  /// Non-exempt open and stalled flows, as counted by the last watchdog scan.
+  size_t open_now_ = 0;
   size_t stalled_now_ = 0;
 
   /// Per-provider cumulative counters sampled over the fast window.

@@ -4,6 +4,7 @@
 // HealthMonitor's watchdogs + provider/link scoring driven by a sim engine.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "telemetry/health/monitor.hpp"
 #include "telemetry/health/slo.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 
 namespace pico::telemetry::health {
 namespace {
@@ -135,6 +137,52 @@ TEST(FlightRecorder, ClosedRingReopensOnNewActivity) {
   const auto& events = doc.at("events").as_array();
   ASSERT_EQ(events.size(), 3u);  // submitted, reopened, resubmitted
   EXPECT_EQ(events[1].at("name").as_string(), "reopened");
+}
+
+TEST(FlightRecorder, OpenSetMatchesRingStatesUnderRandomOps) {
+  FlightRecorderConfig cfg;
+  cfg.ring_capacity = 4;  // keeps the per-step reference dumps cheap
+  FlightRecorder rec(cfg);
+  int delivered = 0;
+  rec.set_dump_sink([&](const std::string&, const Json&) { ++delivered; });
+  std::set<std::string> subjects;
+  for (int i = 0; i < 50; ++i) subjects.insert("run-" + std::to_string(i));
+  const std::vector<std::string> pool(subjects.begin(), subjects.end());
+
+  util::Rng rng(7);
+  for (int step = 0; step < 4000; ++step) {
+    const std::string& subject = pool[rng.uniform_int(0, pool.size() - 1)];
+    const sim::SimTime at = t(step);
+    switch (rng.uniform_int(0, 4)) {
+      case 0: rec.open(subject, at); break;
+      case 1:  // reopens the ring when it was closed
+        rec.record(subject, LogLevel::Info, "flow", "state", at);
+        break;
+      case 2: rec.record(subject, LogLevel::Info, "health", "note", at); break;
+      case 3: rec.close(subject, at); break;
+      case 4: rec.request_dump(subject, "ask", at); break;
+    }
+
+    // Reference: every ring's own closed flag, in subject order.
+    std::vector<FlightRecorder::OpenFlow> expected;
+    for (const auto& s : subjects) {
+      Json doc = rec.dump(s);
+      if (doc.is_null() || doc.at("closed").as_bool()) continue;
+      expected.push_back({s, t(doc.at("opened_s").as_double()),
+                          t(doc.at("last_event_s").as_double())});
+    }
+    const auto open = rec.open_flows();
+    ASSERT_EQ(open.size(), expected.size()) << "step " << step;
+    for (size_t i = 0; i < open.size(); ++i) {
+      ASSERT_EQ(open[i].subject, expected[i].subject) << "step " << step;
+      ASSERT_EQ(open[i].opened, expected[i].opened) << "step " << step;
+      ASSERT_EQ(open[i].last_event, expected[i].last_event) << "step " << step;
+    }
+  }
+  // Each dump-worthy ring reached the sink once, whatever its reopenings.
+  EXPECT_LE(static_cast<uint64_t>(delivered), rec.dump_worthy_count());
+  rec.flush_dumps();
+  EXPECT_EQ(static_cast<uint64_t>(delivered), rec.dump_worthy_count());
 }
 
 // ------------------------------------------------------------ SLO engine ----
@@ -361,6 +409,37 @@ TEST(HealthMonitor, WatchdogsFlagStalledAndOverdueFlows) {
   EXPECT_EQ(report.open_flows, 1u);  // chaos ring not counted
   EXPECT_EQ(report.stalled_flows, 1u);
   EXPECT_GT(monitor.ticks(), 0u);
+}
+
+TEST(HealthMonitor, MultiFlowStallAlertsFollowSubjectOrder) {
+  MonitorHarness h;
+  HealthConfig cfg;
+  cfg.stall_after_s = 30;
+  cfg.flow_deadline_s = 1e9;
+  HealthMonitor monitor(h.engine, h.telemetry, cfg);
+  auto& flight = h.telemetry.flight;
+
+  // Opened out of subject order; run-b closes and reopens, run-d settles.
+  for (const char* subject : {"run-e", "run-b", "scrubber", "run-d", "run-a",
+                              "run-c"}) {
+    flight.record(subject, LogLevel::Info, "flow", "submitted", t(0));
+  }
+  flight.close("run-b", t(1));
+  flight.close("run-d", t(1));
+  flight.record("run-b", LogLevel::Info, "flow", "resubmitted", t(2));
+
+  h.engine.schedule_at(t(100), [&] { monitor.tick(); });
+  h.engine.run();
+
+  std::vector<std::string> stalled;
+  for (const auto& a : monitor.alerts()) {
+    if (a.kind == "watchdog-stall") stalled.push_back(a.subject);
+  }
+  EXPECT_EQ(stalled,
+            (std::vector<std::string>{"run-a", "run-b", "run-c", "run-e"}));
+  HealthReport report = monitor.report();
+  EXPECT_EQ(report.open_flows, 4u);  // scrubber is exempt
+  EXPECT_EQ(report.stalled_flows, 4u);
 }
 
 TEST(HealthMonitor, ProviderScoresDegradeWithBreakerAndRetries) {

@@ -1,5 +1,6 @@
 // Telemetry subsystem tests: metrics registry semantics and Prometheus
-// exposition, causal tracer parenting/events, Chrome trace_event export,
+// exposition, causal tracer parenting/events, the trace's find/children_of
+// indexes against a brute-force scan, Chrome trace_event export,
 // circuit-breaker state transitions as timestamped span events under injected
 // faults, and the guarantee the refactor rests on — campaign reports rebuilt
 // from the span tree are byte-identical to the flow service's bookkeeping.
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <tuple>
 
 #include "core/campaign.hpp"
 #include "core/facility.hpp"
@@ -18,6 +20,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/tracer.hpp"
+#include "util/rng.hpp"
 
 namespace pico::telemetry {
 namespace {
@@ -193,6 +196,133 @@ TEST(Tracer, EventOnUnknownSpanIsNoOp) {
   tracer.event(42, "ghost", t(1));  // must not crash or record anything
   tracer.close(42, "x", t(0), t(1));
   EXPECT_TRUE(trace.spans().empty());
+}
+
+// --------------------------------------------------------- trace index ----
+
+sim::Span span(std::string component, std::string category, std::string label,
+               uint64_t span_id = 0, uint64_t parent_id = 0) {
+  sim::Span s;
+  s.component = std::move(component);
+  s.category = std::move(category);
+  s.label = std::move(label);
+  s.span_id = span_id;
+  s.parent_id = parent_id;
+  return s;
+}
+
+TEST(TraceIndex, FindReturnsFirstRecordedOfDuplicateKeys) {
+  sim::Trace trace;
+  trace.add(span("flow", "run", "run-1", 1));
+  trace.add(span("flow", "run", "run-1", 2));
+  trace.add(span("flow", "run", "run-2", 3));
+  const sim::Span* hit = trace.find("flow", "run", "run-1");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->span_id, 1u);
+  EXPECT_EQ(hit, &trace.spans()[0]);
+  // Every field of the key counts, including the boundaries between them.
+  EXPECT_EQ(trace.find("flow", "run-", "1"), nullptr);
+  EXPECT_EQ(trace.find("flow", "step", "run-1"), nullptr);
+  EXPECT_EQ(trace.find("", "", ""), nullptr);
+}
+
+TEST(TraceIndex, ChildrenKeepRecordingOrderAcrossInterleavedParents) {
+  sim::Trace trace;
+  trace.add(span("flow", "step", "a1", 10, 1));
+  trace.add(span("flow", "step", "b1", 20, 2));
+  trace.add(span("flow", "untraced", "a-", 0, 1));  // span_id 0: excluded
+  trace.add(span("flow", "step", "a2", 11, 1));
+  trace.add(span("flow", "step", "b2", 21, 2));
+  trace.add(span("flow", "step", "a3", 12, 1));
+  trace.add(span("flow", "run", "root", 1, 0));
+
+  auto labels = [&](uint64_t parent) {
+    std::vector<std::string> out;
+    for (const sim::Span* s : trace.children_of(parent)) {
+      out.push_back(s->label);
+    }
+    return out;
+  };
+  EXPECT_EQ(labels(1), (std::vector<std::string>{"a1", "a2", "a3"}));
+  EXPECT_EQ(labels(2), (std::vector<std::string>{"b1", "b2"}));
+  EXPECT_EQ(labels(0), (std::vector<std::string>{"root"}));
+  EXPECT_TRUE(labels(99).empty());
+}
+
+TEST(TraceIndex, ClearEmptiesTheIndexes) {
+  sim::Trace trace;
+  trace.add(span("flow", "run", "run-1", 1));
+  trace.add(span("flow", "step", "run-1/a", 2, 1));
+  trace.clear();
+  EXPECT_EQ(trace.find("flow", "run", "run-1"), nullptr);
+  EXPECT_TRUE(trace.children_of(1).empty());
+
+  // Re-recording after clear indexes the new spans, not the old ones.
+  trace.add(span("flow", "step", "run-1/b", 3, 1));
+  trace.add(span("flow", "run", "run-1", 4));
+  const sim::Span* run = trace.find("flow", "run", "run-1");
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(run->span_id, 4u);
+  auto kids = trace.children_of(1);
+  ASSERT_EQ(kids.size(), 1u);
+  EXPECT_EQ(kids[0]->label, "run-1/b");
+}
+
+TEST(TraceIndex, RandomizedParityWithBruteForceScan) {
+  // Oracles: the linear scans the indexes replace.
+  auto scan_find = [](const sim::Trace& trace, const std::string& component,
+                      const std::string& category,
+                      const std::string& label) -> const sim::Span* {
+    for (const auto& s : trace.spans()) {
+      if (s.component == component && s.category == category &&
+          s.label == label) {
+        return &s;
+      }
+    }
+    return nullptr;
+  };
+  auto scan_children = [](const sim::Trace& trace, uint64_t parent) {
+    std::vector<const sim::Span*> out;
+    for (const auto& s : trace.spans()) {
+      if (s.parent_id == parent && s.span_id != 0) out.push_back(&s);
+    }
+    return out;
+  };
+
+  const std::vector<std::string> components = {"flow", "transfer", "compute"};
+  const std::vector<std::string> categories = {"run", "step", "active", ""};
+  util::Rng rng(12);
+  auto random_key = [&] {
+    return std::make_tuple(
+        components[rng.uniform_int(0, components.size() - 1)],
+        categories[rng.uniform_int(0, categories.size() - 1)],
+        "task-" + std::to_string(rng.uniform_int(0, 2999)));
+  };
+
+  sim::Trace trace;
+  const int kSpans = 10'000;
+  for (int i = 0; i < kSpans; ++i) {
+    auto [component, category, label] = random_key();
+    const uint64_t id = rng.chance(0.1) ? 0 : static_cast<uint64_t>(i + 1);
+    const uint64_t parent = rng.chance(0.2) ? 0 : rng.uniform_int(1, 500);
+    trace.add(span(component, category, label, id, parent));
+  }
+  ASSERT_EQ(trace.spans().size(), static_cast<size_t>(kSpans));
+
+  for (int q = 0; q < 2000; ++q) {
+    auto [component, category, label] = random_key();
+    EXPECT_EQ(trace.find(component, category, label),
+              scan_find(trace, component, category, label));
+  }
+  for (size_t i = 0; i < trace.spans().size(); i += 7) {
+    const sim::Span& s = trace.spans()[i];
+    ASSERT_EQ(trace.find(s.component, s.category, s.label),
+              scan_find(trace, s.component, s.category, s.label));
+  }
+  for (uint64_t parent = 0; parent <= 510; ++parent) {
+    ASSERT_EQ(trace.children_of(parent), scan_children(trace, parent))
+        << "parent " << parent;
+  }
 }
 
 // ----------------------------------------------------------- exporters ----
