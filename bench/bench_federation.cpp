@@ -15,18 +15,16 @@
 //                flow settles at a peer (ceiling 900 s).
 //
 // p99/p50 flow latency (submit -> settle, virtual time) and the driver's
-// wall-clock flows/s are recorded alongside. Emits BENCH_federation.json
-// (checked in; CI regenerates with --smoke and gates via
-// tools/check_telemetry.py --federation). On gate failure the chaos run's
-// broker report is dumped to federation-report.json for the CI artifact
-// upload.
-#include <chrono>
+// wall-clock flows/s are recorded alongside. Emits a pico.bench.v2 document
+// (default BENCH_federation.json). On gate failure the chaos run's broker
+// report is dumped to federation-report.json for the CI artifact upload.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "fault/schedule.hpp"
 #include "federation/campaign.hpp"
+#include "harness.hpp"
+#include "util/bytes.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -36,23 +34,8 @@ using util::Json;
 
 namespace {
 
-bool g_ok = true;
-
-void check(bool condition, const char* what) {
-  if (!condition) {
-    std::printf("FAIL: %s\n", what);
-    g_ok = false;
-  }
-}
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 Json campaign_json(const federation::FederatedCampaignResult& r,
-                   double wall_ms) {
+                   double wall_s) {
   return Json::object({
       {"flows", static_cast<int64_t>(r.flows)},
       {"completed", static_cast<int64_t>(r.completed)},
@@ -76,9 +59,9 @@ Json campaign_json(const federation::FederatedCampaignResult& r,
       {"engine_events", static_cast<int64_t>(r.engine_events)},
       {"fingerprint", util::format("%016llx", static_cast<unsigned long long>(
                                                   r.fingerprint))},
-      {"wall_ms", wall_ms},
+      {"wall_ms", wall_s * 1e3},
       {"flows_per_s",
-       wall_ms > 0 ? static_cast<double>(r.flows) / (wall_ms / 1e3) : 0.0},
+       wall_s > 0 ? static_cast<double>(r.flows) / wall_s : 0.0},
   });
 }
 
@@ -88,15 +71,8 @@ int main(int argc, char** argv) {
   // Site-kill chaos cancels thousands of in-flight runs on purpose; the flow
   // service warns per cancellation, which would swamp the bench output.
   util::LogConfig::set_level(util::LogLevel::Error);
-  std::string out_path = "BENCH_federation.json";
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  bench::Harness h("federation", argc, argv);
+  const bool smoke = h.smoke();
 
   const double kCompletionMin = 0.99;
   const double kRecoveryCeilingS = 900.0;
@@ -110,16 +86,16 @@ int main(int argc, char** argv) {
   cfg.broker.quota.min_user_inflight = 4;
 
   // Fault-free reference: same flow population, no chaos.
-  double t0 = now_ms();
+  double t0 = bench::now_s();
   federation::FederatedCampaignResult clean =
       federation::run_federated_campaign(cfg);
-  double clean_wall = now_ms() - t0;
+  double clean_wall_s = bench::now_s() - t0;
   std::printf(
       "clean  %6zu flows  %5.1f%% done  p50 %6.1fs p99 %6.1fs  jain %.4f  "
       "%7.0f flows/s  fp %016llx\n",
       clean.flows, 100.0 * clean.completion_frac(), clean.p50_s, clean.p99_s,
       clean.jain_fairness,
-      static_cast<double>(clean.flows) / (clean_wall / 1e3),
+      static_cast<double>(clean.flows) / clean_wall_s,
       static_cast<unsigned long long>(clean.fingerprint));
 
   // Chaos: mid-campaign site kill, a peer brownout, and a short partition —
@@ -133,10 +109,10 @@ int main(int argc, char** argv) {
                        400 * scale, cfg.sites[2].name, 0.6});
   chaos_cfg.chaos.add({fault::FaultKind::SitePartition, 2800 * scale,
                        120 * scale, cfg.sites[1].name, 0});
-  t0 = now_ms();
+  t0 = bench::now_s();
   federation::FederatedCampaignResult chaos =
       federation::run_federated_campaign(chaos_cfg);
-  double chaos_wall = now_ms() - t0;
+  double chaos_wall_s = bench::now_s() - t0;
   std::printf(
       "chaos  %6zu flows  %5.1f%% done  p50 %6.1fs p99 %6.1fs  jain %.4f  "
       "%7.0f flows/s  fp %016llx\n"
@@ -144,7 +120,7 @@ int main(int argc, char** argv) {
       "recovery %.1fs\n",
       chaos.flows, 100.0 * chaos.completion_frac(), chaos.p50_s, chaos.p99_s,
       chaos.jain_fairness,
-      static_cast<double>(chaos.flows) / (chaos_wall / 1e3),
+      static_cast<double>(chaos.flows) / chaos_wall_s,
       static_cast<unsigned long long>(chaos.fingerprint),
       static_cast<unsigned long long>(chaos.broker.failovers),
       static_cast<unsigned long long>(chaos.broker.resumed),
@@ -152,59 +128,37 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(chaos.broker.optional_dropped),
       chaos.broker.recovery_s);
 
-  check(clean.completion_frac() >= 1.0, "fault-free run completes every flow");
-  check(chaos.completion_frac() >= kCompletionMin,
-        "chaos completion >= 99% via failover");
-  bool fp_match = chaos.fingerprint == clean.fingerprint;
-  check(fp_match, "chaos publish-index fingerprint matches fault-free run");
-  check(chaos.broker.failovers > 0, "site kill exercised the failover path");
-  check(chaos.broker.resumed > 0, "failover resumed past completed steps");
-  check(chaos.broker.recovery_s > 0 &&
-            chaos.broker.recovery_s <= kRecoveryCeilingS,
-        "failover recovery within ceiling");
-  check(clean.jain_fairness >= kFairnessMin, "fault-free fairness floor");
-  check(chaos.jain_fairness >= kFairnessMin, "chaos fairness floor");
-
-  Json doc = Json::object({
-      {"bench", "federation"},
-      {"schema", "pico.bench.federation.v1"},
-      {"smoke", smoke},
-      {"pass", g_ok},
+  h.results = Json::object({
       {"sites", static_cast<int64_t>(cfg.sites.size())},
       {"flows", static_cast<int64_t>(cfg.flows)},
       {"users", static_cast<int64_t>(cfg.users)},
       {"max_inflight_total",
        static_cast<int64_t>(cfg.broker.quota.max_inflight_total)},
-      {"gates", Json::object({
-                    {"completion_min", kCompletionMin},
-                    {"recovery_ceiling_s", kRecoveryCeilingS},
-                    {"fairness_min", kFairnessMin},
-                    {"fingerprint_match", fp_match},
-                })},
-      {"clean", campaign_json(clean, clean_wall)},
-      {"chaos", campaign_json(chaos, chaos_wall)},
+      {"fingerprint_match", chaos.fingerprint == clean.fingerprint ? 1 : 0},
+      {"clean", campaign_json(clean, clean_wall_s)},
+      {"chaos", campaign_json(chaos, chaos_wall_s)},
   });
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::printf("FAIL: cannot write %s\n", out_path.c_str());
-    return 1;
+  for (const char* run : {"clean", "chaos"}) {
+    const std::string at = std::string(run) + ".";
+    h.gate(at + "flows", at + "flows", ">", 0);
+    h.gate(at + "p50", at + "p50_s", ">=", 0);
+    h.gate(at + "p99", at + "p99_s", ">=", 0);
   }
-  std::string text = doc.dump(2);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (!g_ok) {
+  h.gate("clean.completion", "clean.completion_frac", ">=", 1.0);
+  h.gate("chaos.completion", "chaos.completion_frac", ">=", kCompletionMin);
+  h.gate("fingerprint_match", "fingerprint_match", "==", 1);
+  h.gate("chaos.failovers", "chaos.failovers", ">", 0);
+  h.gate("chaos.resumed", "chaos.resumed", ">", 0);
+  h.gate("chaos.recovery", "chaos.recovery_s", ">", 0);
+  h.gate("chaos.recovery_ceiling", "chaos.recovery_s", "<=", kRecoveryCeilingS);
+  h.gate("clean.fairness", "clean.jain_fairness", ">=", kFairnessMin);
+  h.gate("chaos.fairness", "chaos.jain_fairness", ">=", kFairnessMin);
+  const int rc = h.finish();
+  if (rc != 0) {
     // Leave the chaos broker report behind for the CI failure artifact.
-    FILE* r = std::fopen("federation-report.json", "w");
-    if (r) {
-      std::string report = chaos.broker_report.dump(2);
-      std::fwrite(report.data(), 1, report.size(), r);
-      std::fputc('\n', r);
-      std::fclose(r);
-      std::printf("wrote federation-report.json (gate failure diagnostics)\n");
-    }
+    util::write_file("federation-report.json",
+                     chaos.broker_report.dump(2) + "\n");
+    std::printf("wrote federation-report.json (gate failure diagnostics)\n");
   }
-  return g_ok ? 0 : 1;
+  return rc;
 }

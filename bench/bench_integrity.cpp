@@ -19,34 +19,23 @@
 // the baseline's, and zero duplicate publications; the gap between the two
 // chaos runs' wire totals is the retry bytes saved.
 //
-// Emits BENCH_integrity.json (checked in; CI regenerates and schema-checks
-// it via tools/check_telemetry.py --integrity).
+// Emits a pico.bench.v2 document (default BENCH_integrity.json).
 #include <cstdio>
-#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "auth/auth.hpp"
 #include "core/campaign.hpp"
+#include "harness.hpp"
 #include "net/network.hpp"
 #include "storage/store.hpp"
 #include "transfer/service.hpp"
-#include "util/bytes.hpp"
 #include "util/json.hpp"
 
 using namespace pico;
 
 namespace {
-
-bool g_ok = true;
-
-void check(bool condition, const char* what) {
-  if (!condition) {
-    std::printf("FAIL: %s\n", what);
-    g_ok = false;
-  }
-}
 
 std::string hex64(uint64_t v) {
   char buf[17];
@@ -83,6 +72,8 @@ struct ResumeOutcome {
   int64_t retry_wire_bytes = 0;   ///< bytes moved by the retried task alone
   int64_t total_wire_bytes = 0;   ///< both attempts together
   int64_t chunks_resumed = 0;
+  int64_t attempts_succeeded = 0;  ///< of the two submitted attempts
+  int64_t delivered_intact = 0;    ///< 1 when the delivered object verifies
 };
 
 // One streaming transfer over a dedicated 10 MB/s link, partitioned after the
@@ -117,8 +108,7 @@ ResumeOutcome run_resume_scenario(bool verified_resume) {
   auth::Token token = auth.issue("user@anl.gov", {"transfer"});
 
   if (!src_store.put_virtual("raw/acq.emd", kResumeFileBytes, 7, engine.now())) {
-    check(false, "resume scenario: staging the source file");
-    return {};
+    return {};  // staging failed: no attempt succeeds, the gates say so
   }
   transfer::TransferRequest req;
   req.src_endpoint = "ep-src";
@@ -127,7 +117,6 @@ ResumeOutcome run_resume_scenario(bool verified_resume) {
   req.streaming_chunk_bytes = kResumeChunkBytes;
 
   auto first = service.submit(req, token);
-  check(static_cast<bool>(first), "resume scenario: first submit accepted");
   // Chunk landings: 2.1, 3.1, ..., 11.1 (setup 1.0 + per-file 0.1 + 1 s of
   // wire per 10 MB chunk). Partition right after the tenth landing.
   engine.schedule_at(sim::SimTime::from_seconds(11.55), [&] {
@@ -144,22 +133,18 @@ ResumeOutcome run_resume_scenario(bool verified_resume) {
   });
   engine.run();
 
-  check(static_cast<bool>(second), "resume scenario: retry submit accepted");
   if (!first || !second) return {};
   transfer::TaskInfo one = service.status(first.value());
   transfer::TaskInfo two = service.status(second.value());
-  check(one.state == transfer::TaskState::Succeeded,
-        "resume scenario: stalled attempt eventually settles");
-  check(two.state == transfer::TaskState::Succeeded,
-        "resume scenario: retried attempt succeeds");
-  check(dst_store.exists("exp/acq.emd") &&
-            dst_store.verify("exp/acq.emd").value_or(false),
-        "resume scenario: delivered object verifies");
 
   ResumeOutcome out;
   out.retry_wire_bytes = two.wire_bytes;
   out.total_wire_bytes = one.wire_bytes + two.wire_bytes;
   out.chunks_resumed = two.chunks_resumed;
+  out.attempts_succeeded = (one.state == transfer::TaskState::Succeeded) +
+                           (two.state == transfer::TaskState::Succeeded);
+  out.delivered_intact = dst_store.exists("exp/acq.emd") &&
+                         dst_store.verify("exp/acq.emd").value_or(false);
   return out;
 }
 
@@ -188,7 +173,8 @@ struct CampaignRun {
   size_t index_size = 0;
   int64_t duplicate_publishes = 0;  ///< records beyond one per successful flow
   uint64_t index_fingerprint = 0;
-  bool eagle_clean = true;  ///< every surviving Eagle object verifies
+  size_t duplicate_settlements = 0;  ///< logical flows that settled twice
+  size_t corrupt_objects = 0;        ///< surviving Eagle objects that fail CRC
 };
 
 core::FacilityConfig campaign_facility_config() {
@@ -266,8 +252,7 @@ CampaignRun run_campaign_mode(const std::string& name, double duration_s,
     for (const core::CompletedFlow& f : *bucket) {
       ++run.settled;
       if (f.success) ++run.successes;
-      check(labels.insert(f.label).second,
-            "campaign: each logical flow settles exactly once");
+      if (!labels.insert(f.label).second) ++run.duplicate_settlements;
     }
   }
 
@@ -298,14 +283,13 @@ CampaignRun run_campaign_mode(const std::string& name, double duration_s,
                             static_cast<int64_t>(run.successes);
   run.index_fingerprint = facility.index().fingerprint();
   for (const std::string& path : facility.eagle().list()) {
-    if (!facility.eagle().verify(path).value_or(false)) run.eagle_clean = false;
+    if (!facility.eagle().verify(path).value_or(false)) ++run.corrupt_objects;
   }
   return run;
 }
 
 util::Json run_json(const CampaignRun& r) {
   return util::Json::object({
-      {"run", r.name},
       {"settled", static_cast<int64_t>(r.settled)},
       {"successes", static_cast<int64_t>(r.successes)},
       {"failed", static_cast<int64_t>(r.failed)},
@@ -327,7 +311,8 @@ util::Json run_json(const CampaignRun& r) {
       {"index_size", static_cast<int64_t>(r.index_size)},
       {"duplicate_publishes", r.duplicate_publishes},
       {"index_fingerprint", hex64(r.index_fingerprint)},
-      {"eagle_clean", r.eagle_clean},
+      {"duplicate_settlements", static_cast<int64_t>(r.duplicate_settlements)},
+      {"corrupt_objects", static_cast<int64_t>(r.corrupt_objects)},
   });
 }
 
@@ -340,21 +325,14 @@ void print_run(const CampaignRun& r) {
       r.chunks_resumed, r.corruption_wire, r.corruption_landing,
       r.corruption_at_rest, r.repairs, r.duplicates_suppressed,
       static_cast<long long>(r.duplicate_publishes), r.index_size,
-      r.eagle_clean ? "clean" : "CORRUPT");
+      r.corrupt_objects == 0 ? "clean" : "CORRUPT");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_integrity.json";
-  double duration_s = 3600;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      duration_s = 900;  // quarter-hour campaign for CI smoke
-    } else {
-      out_path = argv[i];
-    }
-  }
+  bench::Harness h("integrity", argc, argv);
+  const double duration_s = h.smoke() ? 900 : 3600;  // quarter-hour smoke
 
   // ---- part 1: the 50%-progress resume acceptance pair ----
   ResumeOutcome resume = run_resume_scenario(/*verified_resume=*/true);
@@ -372,12 +350,6 @@ int main(int argc, char** argv) {
       static_cast<int>(kResumeFileBytes / 1'000'000), 100 * resume_retry_frac,
       static_cast<long long>(resume.chunks_resumed), 100 * resume_total_frac,
       100 * restart_total_frac);
-  check(resume.chunks_resumed >= 5,
-        "acceptance: retry resumed the verified prefix from the manifest");
-  check(resume_retry_frac < 0.6,
-        "acceptance: resumed retry moves < 60% of file bytes");
-  check(restart_total_frac >= 1.5,
-        "acceptance: whole-file restart moves >= 150% of file bytes");
 
   // ---- part 2: the spatiotemporal campaign, three ways ----
   CampaignRun baseline =
@@ -406,28 +378,7 @@ int main(int argc, char** argv) {
       baseline.wire_bytes > 0 ? retry_bytes_saved / baseline.wire_bytes : 0.0,
       index_match ? "byte-identical" : "DIVERGED");
 
-  check(baseline.failed == 0, "baseline campaign: no failures");
-  check(chaos_resume.failed == 0 && chaos_resume.lost == 0,
-        "chaos campaign (resume): every flow eventually succeeds");
-  check(chaos_resume.chunks_resumed > 0,
-        "chaos campaign (resume): manifest resume actually engaged");
-  check(chaos_resume.corruption_wire > 0,
-        "chaos campaign: wire bit-flips detected");
-  check(chaos_resume.corruption_at_rest > 0 && chaos_resume.repairs > 0,
-        "chaos campaign: scrubber found and repaired at-rest rot");
-  check(chaos_resume.duplicates_suppressed > 0,
-        "chaos campaign: idempotency keys suppressed duplicate publishes");
-  check(chaos_resume.duplicate_publishes == 0,
-        "chaos campaign: exactly one record per successful flow");
-  check(chaos_resume.eagle_clean && baseline.eagle_clean,
-        "campaigns end with every delivered object intact");
-  check(index_match,
-        "chaos campaign index is byte-identical to the fault-free run");
-  check(retry_bytes_saved > 0,
-        "verified resume saves retry bytes vs whole-file restart");
-
-  util::Json doc = util::Json::object({
-      {"schema", "pico.bench.integrity.v1"},
+  h.results = util::Json::object({
       {"duration_s", duration_s},
       {"resume_acceptance",
        util::Json::object({
@@ -437,23 +388,70 @@ int main(int argc, char** argv) {
            {"resume_retry_wire_frac", resume_retry_frac},
            {"resume_total_wire_frac", resume_total_frac},
            {"resume_chunks_resumed", resume.chunks_resumed},
+           {"resume_attempts_succeeded", resume.attempts_succeeded},
+           {"resume_delivered_intact", resume.delivered_intact},
            {"restart_total_wire_bytes", restart.total_wire_bytes},
            {"restart_total_wire_frac", restart_total_frac},
+           {"restart_attempts_succeeded", restart.attempts_succeeded},
+           {"restart_delivered_intact", restart.delivered_intact},
        })},
       {"campaign",
        util::Json::object({
            {"use_case", "spatiotemporal"},
            {"file_bytes", static_cast<int64_t>(1200) * 1000 * 1000},
            {"start_period_s", 120.0},
-           {"runs", util::Json::array({run_json(baseline),
-                                       run_json(chaos_resume),
-                                       run_json(chaos_restart)})},
+           {"runs", util::Json::object({{"baseline", run_json(baseline)},
+                                        {"chaos_resume", run_json(chaos_resume)},
+                                        {"chaos_restart",
+                                         run_json(chaos_restart)}})},
            {"retry_bytes_saved", retry_bytes_saved},
-           {"index_match_resume_vs_baseline", index_match},
+           {"index_match_resume_vs_baseline", index_match ? 1 : 0},
        })},
-      {"pass", g_ok},
   });
-  util::write_file(out_path, doc.dump(2) + "\n");
-  std::printf("\nwrote %s (%s)\n", out_path.c_str(), g_ok ? "pass" : "FAIL");
-  return g_ok ? 0 : 1;
+
+  // Part 1: both attempts of each scenario settle and deliver an intact
+  // object; the resumed retry moves < 60% of the file, a restart >= 150%.
+  for (const char* mode : {"resume", "restart"}) {
+    const std::string at = std::string("resume_acceptance.") + mode;
+    h.gate(std::string("acceptance.") + mode + "_attempts",
+           at + "_attempts_succeeded", "==", 2);
+    h.gate(std::string("acceptance.") + mode + "_delivered",
+           at + "_delivered_intact", "==", 1);
+  }
+  h.gate("acceptance.chunks_resumed", "resume_acceptance.resume_chunks_resumed",
+         ">=", 5);
+  h.gate("acceptance.resume_retry_frac",
+         "resume_acceptance.resume_retry_wire_frac", "<", 0.6);
+  h.gate("acceptance.restart_total_frac",
+         "resume_acceptance.restart_total_wire_frac", ">=", 1.5);
+
+  // Part 2: every run settles each logical flow exactly once and ends with
+  // every delivered object intact.
+  for (const char* run : {"baseline", "chaos_resume", "chaos_restart"}) {
+    const std::string at = std::string("campaign.runs.") + run + ".";
+    h.gate(std::string(run) + ".settled", at + "settled", ">", 0);
+    h.gate(std::string(run) + ".settled_once", at + "duplicate_settlements",
+           "==", 0);
+    h.gate(std::string(run) + ".objects_intact", at + "corrupt_objects", "==",
+           0);
+  }
+  h.gate("baseline.failed", "campaign.runs.baseline.failed", "==", 0);
+  // Under chaos with resume: nothing lost, every fault class detected and
+  // healed, exactly one record per successful flow, identical science.
+  const std::string cr = "campaign.runs.chaos_resume.";
+  h.gate("chaos_resume.failed", cr + "failed", "==", 0);
+  h.gate("chaos_resume.lost", cr + "lost", "==", 0);
+  h.gate("chaos_resume.chunks_resumed", cr + "chunks_resumed", ">", 0);
+  h.gate("chaos_resume.wire_corruption", cr + "corruption_detected_wire", ">",
+         0);
+  h.gate("chaos_resume.at_rest_corruption", cr + "corruption_detected_at_rest",
+         ">", 0);
+  h.gate("chaos_resume.repairs", cr + "repairs", ">", 0);
+  h.gate("chaos_resume.duplicates_suppressed",
+         cr + "publish_duplicates_suppressed", ">", 0);
+  h.gate("chaos_resume.one_record_per_flow", cr + "duplicate_publishes", "==",
+         0);
+  h.gate("index_match", "campaign.index_match_resume_vs_baseline", "==", 1);
+  h.gate("retry_bytes_saved", "campaign.retry_bytes_saved", ">", 0);
+  return h.finish();
 }

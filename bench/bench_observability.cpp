@@ -1,6 +1,6 @@
 // Health-plane overhead and efficacy bench (A12).
 //
-// Two claims, both gated by CI (tools/check_telemetry.py --observability):
+// Two gated claims:
 //
 //  overhead - the always-on flight recorder + periodic health snapshot loop
 //             costs < 2% wall clock on both Table-1 campaigns, measured by
@@ -22,33 +22,21 @@
 //             fault-free campaign stays completely silent: no alerts, no
 //             watchdog flags, no dump-worthy rings
 //
-// Emits BENCH_observability.json (checked in; CI regenerates with --smoke and
-// schema-checks).
+// Emits a pico.bench.v2 document (default BENCH_observability.json).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "harness.hpp"
 #include "telemetry/health/monitor.hpp"
-#include "util/bytes.hpp"
 #include "util/json.hpp"
 
 using namespace pico;
 
 namespace {
-
-bool g_ok = true;
-
-void check(bool condition, const char* what) {
-  if (!condition) {
-    std::printf("FAIL: %s\n", what);
-    g_ok = false;
-  }
-}
 
 // ----------------------------------------------------------- overhead ----
 
@@ -85,23 +73,25 @@ core::CampaignConfig table1_campaign(bool hyper, double duration_s) {
   return cfg;
 }
 
-/// Wall-clock seconds for one full campaign on a fresh facility.
-double time_campaign(bool hyper, bool health_on, double duration_s) {
-  core::Facility facility(table1_config(health_on));
-  core::CampaignConfig cfg = table1_campaign(hyper, duration_s);
-  auto t0 = std::chrono::steady_clock::now();
-  core::CampaignResult result = core::run_campaign(facility, cfg);
-  auto t1 = std::chrono::steady_clock::now();
-  check(result.failed == 0, "table-1 campaign: no failed flows");
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 struct OverheadRun {
   std::string name;
   double off_s = 0;
   double on_s = 0;
   double overhead_pct = 0;
+  size_t failed_flows = 0;  ///< summed over every timed campaign
 };
+
+/// Wall-clock seconds for one full campaign on a fresh facility.
+double time_campaign(bool hyper, bool health_on, double duration_s,
+                     OverheadRun* run) {
+  core::Facility facility(table1_config(health_on));
+  core::CampaignConfig cfg = table1_campaign(hyper, duration_s);
+  const double t0 = bench::now_s();
+  core::CampaignResult result = core::run_campaign(facility, cfg);
+  const double t1 = bench::now_s();
+  run->failed_flows += result.failed;
+  return t1 - t0;
+}
 
 OverheadRun measure_overhead(bool hyper, double duration_s, int reps) {
   OverheadRun run;
@@ -112,16 +102,16 @@ OverheadRun measure_overhead(bool hyper, double duration_s, int reps) {
   // bias) and contributes one relative delta. Pairing cancels the slow
   // machine-load drift that dwarfs the true cost when the arms are pooled
   // separately; the median delta shrugs off spike outliers.
-  time_campaign(hyper, false, duration_s);
-  time_campaign(hyper, true, duration_s);
+  time_campaign(hyper, false, duration_s, &run);
+  time_campaign(hyper, true, duration_s, &run);
   for (int i = 0; i < reps; ++i) {
     double off_i, on_i;
     if (i % 2 == 0) {
-      off_i = time_campaign(hyper, false, duration_s);
-      on_i = time_campaign(hyper, true, duration_s);
+      off_i = time_campaign(hyper, false, duration_s, &run);
+      on_i = time_campaign(hyper, true, duration_s, &run);
     } else {
-      on_i = time_campaign(hyper, true, duration_s);
-      off_i = time_campaign(hyper, false, duration_s);
+      on_i = time_campaign(hyper, true, duration_s, &run);
+      off_i = time_campaign(hyper, false, duration_s, &run);
     }
     off.push_back(off_i);
     on.push_back(on_i);
@@ -132,14 +122,9 @@ OverheadRun measure_overhead(bool hyper, double duration_s, int reps) {
                 on_i * 1e3, delta.back());
     std::fflush(stdout);
   }
-  auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    const size_t n = v.size();
-    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
-  };
-  run.off_s = median(off);
-  run.on_s = median(on);
-  run.overhead_pct = median(delta);
+  run.off_s = picobench::summarize(off).median;
+  run.on_s = picobench::summarize(on).median;
+  run.overhead_pct = picobench::summarize(delta).median;
   return run;
 }
 
@@ -267,7 +252,6 @@ HealthRun run_health_mode(const std::string& name, double duration_s,
 
 util::Json health_json(const HealthRun& r) {
   return util::Json::object({
-      {"run", r.name},
       {"settled", static_cast<int64_t>(r.settled)},
       {"failed", static_cast<int64_t>(r.failed)},
       {"fallbacks", r.fallbacks},
@@ -278,6 +262,9 @@ util::Json health_json(const HealthRun& r) {
       {"flight_dumps", static_cast<int64_t>(r.dumps)},
       {"degraded_flow_dumps", static_cast<int64_t>(r.degraded_dumps)},
       {"empty_dumps", static_cast<int64_t>(r.empty_dumps)},
+      {"undumped_fallbacks",
+       std::max(0.0, r.fallbacks - static_cast<double>(r.degraded_dumps))},
+      {"alerts_recorded", static_cast<int64_t>(r.alerts.as_array().size())},
       {"alerts", r.alerts},
   });
 }
@@ -285,17 +272,9 @@ util::Json health_json(const HealthRun& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_observability.json";
-  double duration_s = 3600;
-  int reps = 7;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      duration_s = 900;
-      reps = 5;
-    } else {
-      out_path = argv[i];
-    }
-  }
+  bench::Harness h("observability", argc, argv);
+  const double duration_s = h.smoke() ? 900 : 3600;
+  const int reps = h.smoke() ? 5 : 7;
 
   // ---- overhead: health plane on vs off on both Table-1 campaigns ----
   OverheadRun hyper = measure_overhead(/*hyper=*/true, duration_s, reps);
@@ -308,10 +287,6 @@ int main(int argc, char** argv) {
                 r->name.c_str(), r->off_s * 1e3, r->on_s * 1e3,
                 r->overhead_pct);
   }
-  check(hyper.overhead_pct < 2.0,
-        "hyperspectral: health plane costs < 2% wall clock");
-  check(spatio.overhead_pct < 2.0,
-        "spatiotemporal: health plane costs < 2% wall clock");
 
   // ---- efficacy: chaos lights the plane up, fault-free stays dark ----
   HealthRun chaos = run_health_mode("chaos", duration_s, /*chaos=*/true);
@@ -332,43 +307,53 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(quiet.watchdog_flags),
       static_cast<unsigned long long>(quiet.anomaly_alerts), quiet.dumps);
 
-  check(chaos.failed == 0, "chaos campaign: recovery still holds (no failed)");
-  check(chaos.fallbacks >= 1, "chaos campaign: the degradation ladder fired");
-  check(chaos.slo_alerts >= 1, "chaos campaign: >= 1 SLO burn alert");
-  check(chaos.watchdog_flags >= 1, "chaos campaign: >= 1 watchdog flag");
-  check(chaos.anomaly_alerts >= 1, "chaos campaign: >= 1 anomaly alert");
-  check(chaos.degraded_dumps >= static_cast<size_t>(chaos.fallbacks),
-        "chaos campaign: a flight dump for every degraded flow");
-  check(chaos.empty_dumps == 0, "chaos campaign: every dump carries events");
-  check(quiet.slo_alerts == 0 && quiet.watchdog_flags == 0 &&
-            quiet.anomaly_alerts == 0,
-        "fault-free campaign: zero alerts of any kind");
-  check(quiet.dumps == 0, "fault-free campaign: no dump-worthy rings");
-  check(quiet.health_ticks > 0, "fault-free campaign: the monitor did run");
-
-  util::Json doc = util::Json::object({
-      {"schema", "pico.bench.observability.v1"},
+  util::Json overhead = util::Json::object();
+  for (const OverheadRun* r : {&hyper, &spatio}) {
+    overhead[r->name] = util::Json::object({
+        {"off_wall_s", r->off_s},
+        {"on_wall_s", r->on_s},
+        {"overhead_pct", r->overhead_pct},
+        {"failed_flows", static_cast<int64_t>(r->failed_flows)},
+    });
+    // The health plane costs < 2% wall clock, and never a flow.
+    h.gate("overhead." + r->name + ".off_wall",
+           "overhead." + r->name + ".off_wall_s", ">", 0);
+    h.gate("overhead." + r->name + ".on_wall",
+           "overhead." + r->name + ".on_wall_s", ">", 0);
+    h.gate("overhead." + r->name, "overhead." + r->name + ".overhead_pct", "<",
+           2.0);
+    h.gate("overhead." + r->name + ".failed",
+           "overhead." + r->name + ".failed_flows", "==", 0);
+  }
+  h.results = util::Json::object({
       {"duration_s", duration_s},
       {"reps", static_cast<int64_t>(reps)},
-      {"overhead", util::Json::array({
-                       util::Json::object({
-                           {"campaign", hyper.name},
-                           {"off_wall_s", hyper.off_s},
-                           {"on_wall_s", hyper.on_s},
-                           {"overhead_pct", hyper.overhead_pct},
-                       }),
-                       util::Json::object({
-                           {"campaign", spatio.name},
-                           {"off_wall_s", spatio.off_s},
-                           {"on_wall_s", spatio.on_s},
-                           {"overhead_pct", spatio.overhead_pct},
-                       }),
-                   })},
-      {"overhead_limit_pct", 2.0},
-      {"runs", util::Json::array({health_json(chaos), health_json(quiet)})},
-      {"pass", g_ok},
+      {"overhead", std::move(overhead)},
+      {"runs", util::Json::object({{"chaos", health_json(chaos)},
+                                   {"fault_free", health_json(quiet)}})},
   });
-  util::write_file(out_path, doc.dump(2) + "\n");
-  std::printf("\nwrote %s (%s)\n", out_path.c_str(), g_ok ? "pass" : "FAIL");
-  return g_ok ? 0 : 1;
+  for (const char* run : {"chaos", "fault_free"}) {
+    const std::string at = std::string("runs.") + run + ".";
+    h.gate(at + "settled", at + "settled", ">", 0);
+    h.gate(at + "failed", at + "failed", "==", 0);
+    h.gate(at + "health_ticks", at + "health_ticks", ">", 0);
+  }
+  // Chaos lights the plane up: the ladder fires, every alert kind is raised,
+  // and every degraded flow leaves a non-empty flight dump...
+  for (const char* key :
+       {"fallbacks", "slo_alerts", "watchdog_flags", "anomaly_alerts"}) {
+    h.gate(std::string("chaos.") + key, std::string("runs.chaos.") + key,
+           ">=", 1);
+  }
+  h.gate("chaos.degraded_flows_dumped", "runs.chaos.undumped_fallbacks", "==",
+         0);
+  h.gate("chaos.empty_dumps", "runs.chaos.empty_dumps", "==", 0);
+  h.gate("chaos.alerts_recorded", "runs.chaos.alerts_recorded", ">=", 1);
+  // ...while the identical fault-free campaign stays completely silent.
+  for (const char* key :
+       {"slo_alerts", "watchdog_flags", "anomaly_alerts", "flight_dumps"}) {
+    h.gate(std::string("fault_free.") + key,
+           std::string("runs.fault_free.") + key, "==", 0);
+  }
+  return h.finish();
 }

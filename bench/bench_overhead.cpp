@@ -15,18 +15,20 @@
 //
 // Every run is cross-checked against telemetry: the RunTiming rebuilt from
 // the closed span tree must match the flow service's records at ns
-// granularity (span_parity). Emits BENCH_overhead.json (checked in; CI
-// regenerates and schema-checks it via tools/check_telemetry.py --overhead).
+// granularity (span_parity). Gates the headline claims: event-driven
+// completion cuts the hyperspectral median overhead fraction below polling
+// (>= 2x at full length), and cut-through streaming cuts the spatiotemporal
+// median total below event-only, with real overlap. Emits a pico.bench.v2
+// document (default BENCH_overhead.json).
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "telemetry/export.hpp"
-#include "util/bytes.hpp"
 #include "util/stats.hpp"
 
 using namespace pico;
@@ -184,7 +186,6 @@ ModeResult run_mode(const ModeSpec& mode, core::UseCase use_case,
 
 util::Json mode_json(const ModeResult& m) {
   return util::Json::object({
-      {"mode", m.mode},
       {"runs", static_cast<int64_t>(m.runs)},
       {"failed", static_cast<int64_t>(m.failed)},
       {"median_total_s", m.median_total_s},
@@ -196,7 +197,7 @@ util::Json mode_json(const ModeResult& m) {
       {"notifications_per_run", m.notifications_per_run},
       {"notification_latency_p50_s", m.notification_latency_p50_s},
       {"streamed_steps", static_cast<int64_t>(m.streamed_steps)},
-      {"span_parity", m.span_parity},
+      {"span_parity", m.span_parity ? 1 : 0},
   });
 }
 
@@ -219,18 +220,10 @@ void print_campaign(const char* title, const std::vector<ModeResult>& rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_overhead.json";
-  double duration_s = 3600;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      duration_s = 900;  // quarter-hour campaigns for CI smoke
-    } else {
-      out_path = argv[i];
-    }
-  }
+  bench::Harness h("overhead", argc, argv);
+  const double duration_s = h.smoke() ? 900 : 3600;  // quarter-hour smoke
 
-  util::Json campaigns = util::Json::array();
-  bool parity_all = true;
+  int64_t parity_failures = 0;
   struct Campaign {
     core::UseCase use_case;
     const char* name;
@@ -243,31 +236,49 @@ int main(int argc, char** argv) {
       {core::UseCase::Spatiotemporal, "spatiotemporal",
        "Spatiotemporal (1200 MB / 120 s)", 21.1},
   };
+  h.results["duration_s"] = duration_s;
   for (const Campaign& c : kCampaigns) {
     std::vector<ModeResult> rows;
-    util::Json mode_rows = util::Json::array();
+    util::Json campaign =
+        util::Json::object({{"paper_median_overhead_pct", c.paper_pct}});
     for (const ModeSpec& mode : modes()) {
       ModeResult r = run_mode(mode, c.use_case, duration_s);
-      parity_all = parity_all && r.span_parity;
-      mode_rows.push_back(mode_json(r));
+      parity_failures += r.span_parity ? 0 : 1;
+      campaign[mode.name] = mode_json(r);
+      const std::string id = std::string(c.name) + "." + mode.name;
+      h.gate("runs." + id, id + ".runs", ">=", 1);
+      h.gate("overhead_frac." + id + ".min", id + ".median_overhead_frac",
+             ">=", 0);
+      h.gate("overhead_frac." + id + ".max", id + ".median_overhead_frac",
+             "<=", 1);
       rows.push_back(std::move(r));
     }
     print_campaign(c.title, rows, c.paper_pct);
-    campaigns.push_back(util::Json::object({
-        {"use_case", c.name},
-        {"paper_median_overhead_pct", c.paper_pct},
-        {"modes", std::move(mode_rows)},
-    }));
+    h.results[c.name] = std::move(campaign);
   }
+  h.results["span_parity_failures"] = parity_failures;
+  h.gate("span_parity", "span_parity_failures", "==", 0);
 
-  util::Json doc = util::Json::object({
-      {"schema", "pico.bench.overhead.v1"},
-      {"duration_s", duration_s},
-      {"span_parity_all", parity_all},
-      {"campaigns", std::move(campaigns)},
-  });
-  util::write_file(out_path, doc.dump(2) + "\n");
-  std::printf("\nwrote %s (span parity: %s)\n", out_path.c_str(),
-              parity_all ? "ok" : "FAIL");
-  return parity_all ? 0 : 1;
+  // Headline claim 1: event-driven completion cuts the hyperspectral median
+  // overhead fraction vs paper-default polling (>= 2x at full length; smoke
+  // campaigns have too few flows for the calibrated margin).
+  util::Json& hyper = h.results["hyperspectral"];
+  hyper["polling_over_event_overhead"] =
+      hyper.at("paper_polling").at("median_overhead_frac").as_double() /
+      hyper.at("event_driven").at("median_overhead_frac").as_double();
+  h.gate("event_below_polling", "hyperspectral.polling_over_event_overhead",
+         ">", 1);
+  h.gate("event_halves_polling", "hyperspectral.polling_over_event_overhead",
+         ">=", 2, bench::When::Full);
+
+  // Headline claim 2: cut-through streaming cuts the spatiotemporal median
+  // *total* runtime below event-only completion, by overlapping the steps.
+  util::Json& spatio = h.results["spatiotemporal"];
+  spatio["streaming_saved_s"] =
+      spatio.at("event_driven").at("median_total_s").as_double() -
+      spatio.at("event_streaming").at("median_total_s").as_double();
+  h.gate("streaming_below_event", "spatiotemporal.streaming_saved_s", ">", 0);
+  h.gate("streaming_overlap", "spatiotemporal.event_streaming.median_overlap_s",
+         ">", 0);
+  return h.finish();
 }

@@ -15,34 +15,22 @@
 //                  every rung of the degradation ladder (retransmit,
 //                  spill-to-store, whole-flow fallback)
 //
-// Claims checked here and by CI (tools/check_telemetry.py --streaming):
-// direct beats cut-through to the first settled result; the chaos campaign
-// finishes every flow with a search index byte-identical to the fault-free
-// direct run; and the ladder's middle rungs actually fired (>= 1 spill,
-// >= 1 fallback in telemetry).
+// Gated claims: direct beats cut-through to the first settled result; the
+// chaos campaign finishes every flow with a search index byte-identical to
+// the fault-free direct run; and the ladder's middle rungs actually fired
+// (>= 1 spill, >= 1 fallback in telemetry).
 //
-// Emits BENCH_streaming.json (checked in; CI regenerates and schema-checks).
-#include <algorithm>
+// Emits a pico.bench.v2 document (default BENCH_streaming.json).
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/campaign.hpp"
-#include "util/bytes.hpp"
+#include "harness.hpp"
 #include "util/json.hpp"
 
 using namespace pico;
 
 namespace {
-
-bool g_ok = true;
-
-void check(bool condition, const char* what) {
-  if (!condition) {
-    std::printf("FAIL: %s\n", what);
-    g_ok = false;
-  }
-}
 
 std::string hex64(uint64_t v) {
   char buf[17];
@@ -181,7 +169,6 @@ StreamRun run_mode(const std::string& name, double duration_s, bool direct,
 
 util::Json run_json(const StreamRun& r) {
   return util::Json::object({
-      {"run", r.name},
       {"settled", static_cast<int64_t>(r.settled)},
       {"successes", static_cast<int64_t>(r.successes)},
       {"failed", static_cast<int64_t>(r.failed)},
@@ -214,15 +201,8 @@ void print_run(const StreamRun& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_streaming.json";
-  double duration_s = 3600;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      duration_s = 900;  // quarter-hour campaign for CI smoke
-    } else {
-      out_path = argv[i];
-    }
-  }
+  bench::Harness h("streaming", argc, argv);
+  const double duration_s = h.smoke() ? 900 : 3600;  // quarter-hour smoke
 
   StreamRun cutthrough = run_mode("cutthrough", duration_s, /*direct=*/false,
                                   /*chaos=*/false);
@@ -245,43 +225,40 @@ int main(int argc, char** argv) {
       direct.ttfr_s, cutthrough.ttfr_s, cutthrough.ttfr_s - direct.ttfr_s,
       index_match ? "byte-identical" : "DIVERGED");
 
-  check(cutthrough.failed == 0 && cutthrough.lost == 0,
-        "cut-through campaign: no failures");
-  check(direct.failed == 0 && direct.lost == 0,
-        "direct campaign: no failures");
-  check(direct.settled > 0 && cutthrough.settled > 0,
-        "both comparators settled flows");
-  check(direct.ttfr_s < cutthrough.ttfr_s,
-        "direct streaming beats cut-through to the first result");
-  check(direct.spills == 0 && direct.fallbacks == 0 &&
-            direct.retransmits == 0,
-        "fault-free direct run stays on the direct rung");
-  check(direct_chaos.failed == 0 && direct_chaos.lost == 0,
-        "chaos campaign: every flow eventually succeeds");
-  check(direct_chaos.frames_dropped > 0 && direct_chaos.retransmits > 0,
-        "chaos campaign: drops happened and retransmits healed them");
-  check(direct_chaos.spills >= 1,
-        "chaos campaign: at least one ring overflow spilled to the store");
-  check(direct_chaos.fallbacks >= 1,
-        "chaos campaign: at least one session fell back whole-flow");
-  check(index_match,
-        "chaos campaign index is byte-identical to the fault-free direct run");
-
-  util::Json doc = util::Json::object({
-      {"schema", "pico.bench.streaming.v1"},
+  h.results = util::Json::object({
       {"duration_s", duration_s},
       {"use_case", "hyperspectral"},
       {"file_bytes", static_cast<int64_t>(91) * 1000 * 1000},
       {"start_period_s", 30.0},
       {"detector_rate_bps", 400e6},
       {"ring_capacity", 4},
-      {"runs", util::Json::array({run_json(cutthrough), run_json(direct),
-                                  run_json(direct_chaos)})},
+      {"runs", util::Json::object({{"cutthrough", run_json(cutthrough)},
+                                   {"direct", run_json(direct)},
+                                   {"direct_chaos", run_json(direct_chaos)}})},
       {"first_result_saved_s", cutthrough.ttfr_s - direct.ttfr_s},
-      {"index_match_chaos_vs_direct", index_match},
-      {"pass", g_ok},
+      {"index_match_chaos_vs_direct", index_match ? 1 : 0},
   });
-  util::write_file(out_path, doc.dump(2) + "\n");
-  std::printf("\nwrote %s (%s)\n", out_path.c_str(), g_ok ? "pass" : "FAIL");
-  return g_ok ? 0 : 1;
+  // Every campaign settles flows and finishes all of them, chaos included.
+  for (const char* run : {"cutthrough", "direct", "direct_chaos"}) {
+    const std::string at = std::string("runs.") + run + ".";
+    h.gate(at + "settled", at + "settled", ">", 0);
+    h.gate(at + "failed", at + "failed", "==", 0);
+    h.gate(at + "lost", at + "lost", "==", 0);
+    h.gate(at + "first_result", at + "time_to_first_result_s", ">", 0);
+  }
+  // Headline: bypassing the landing store reaches the first result sooner.
+  h.gate("direct_beats_cutthrough", "first_result_saved_s", ">", 0);
+  // The fault-free direct run stays on the direct rung...
+  for (const char* key : {"retransmits", "spills", "fallbacks"}) {
+    h.gate(std::string("direct_clean.") + key,
+           std::string("runs.direct.") + key, "==", 0);
+  }
+  // ...while the chaos run climbs the whole degradation ladder and still
+  // converges on identical science.
+  h.gate("chaos.frames_dropped", "runs.direct_chaos.frames_dropped", ">", 0);
+  h.gate("chaos.retransmits", "runs.direct_chaos.retransmits", ">", 0);
+  h.gate("chaos.spills", "runs.direct_chaos.spills", ">=", 1);
+  h.gate("chaos.fallbacks", "runs.direct_chaos.fallbacks", ">=", 1);
+  h.gate("chaos.index_match", "index_match_chaos_vs_direct", "==", 1);
+  return h.finish();
 }

@@ -737,6 +737,7 @@ void FlowService::activate_prestarted(Run& run) {
   }
   const ActionState& step = run.definition().steps[run.info.current_step];
   ActionProvider* provider = providers_[run.step_pids[run.info.current_step]];
+  run.cur_pid = run.step_pids[run.info.current_step];
 
   StepTiming timing;
   timing.name = step.name;

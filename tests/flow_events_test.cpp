@@ -5,6 +5,7 @@
 // `streaming` flag in definition documents.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
 #include "flow/backoff.hpp"
@@ -23,10 +24,15 @@ using util::Json;
 /// release only acknowledges adoption, like a warmed compute environment).
 class EventfulProvider final : public ActionProvider {
  public:
-  EventfulProvider(sim::Engine* engine, bool events, bool progress, bool held)
-      : engine_(engine), events_(events), progress_(progress), held_(held) {}
+  EventfulProvider(sim::Engine* engine, bool events, bool progress, bool held,
+                   std::string name = "eventful")
+      : engine_(engine),
+        events_(events),
+        progress_(progress),
+        held_(held),
+        name_(std::move(name)) {}
 
-  std::string name() const override { return "eventful"; }
+  std::string name() const override { return name_; }
 
   util::Result<ActionHandle> start(const Json& params,
                                    const auth::Token&) override {
@@ -92,7 +98,13 @@ class EventfulProvider final : public ActionProvider {
     return begin(params);
   }
 
-  void release(const ActionHandle&) override { ++releases_; }
+  void release(const ActionHandle&) override {
+    ++releases_;
+    if (on_release) on_release();
+  }
+
+  /// Test hook: runs when a held action is adopted.
+  std::function<void()> on_release;
 
   void set_refuse_held(bool refuse) { refuse_held_ = refuse; }
   int polls() const { return polls_; }
@@ -121,6 +133,7 @@ class EventfulProvider final : public ActionProvider {
 
   sim::Engine* engine_;
   bool events_, progress_, held_;
+  std::string name_;
   bool refuse_held_ = false;
   std::map<ActionHandle, Action> actions_;
   uint64_t next_ = 1;
@@ -328,6 +341,32 @@ TEST_F(EventsFixture, StreamingPreDispatchOverlapsAdjacentSteps) {
   EXPECT_NEAR(timing.overlap_s(), 10.0, 1e-9);
   EXPECT_LT(timing.active_union_s(), timing.active_s());
   EXPECT_GE(timing.total_s(), timing.active_union_s());
+}
+
+// The pre-dispatched step runs on a different provider than the step it
+// overlaps: once activated, it must be polled (and credited to the breaker)
+// through its own provider, never through the one that served the previous
+// step.
+TEST_F(EventsFixture, StreamingPreDispatchPollsTheNextStepsProvider) {
+  FlowServiceConfig cfg;
+  cfg.completion_mode = CompletionMode::Events;
+  setup(cfg);
+  EventfulProvider second(&engine, true, true, true, "eventful-b");
+  service->register_provider(&second);
+  int a_polls_at_activation = -1;
+  second.on_release = [&] { a_polls_at_activation = provider->polls(); };
+  ActionState b = step("B", 10, /*streaming=*/true);
+  b.provider = "eventful-b";
+  RunId id = run_flow({"stream-2p", {step("A", 20, false, true), b}});
+  EXPECT_EQ(service->info(id).state, RunState::Succeeded);
+  const RunTiming& timing = service->timing(id);
+  ASSERT_EQ(timing.steps.size(), 2u);
+  EXPECT_TRUE(timing.steps[1].streamed);
+  EXPECT_EQ(second.held_starts(), 1);
+  EXPECT_EQ(second.releases(), 1);
+  EXPECT_NEAR(timing.overlap_s(), 10.0, 1e-9);
+  EXPECT_GT(second.polls(), 0);  // B's provider served B's polls
+  EXPECT_EQ(provider->polls(), a_polls_at_activation);
 }
 
 TEST_F(EventsFixture, StreamingFallsBackSerializedWithoutHeldSupport) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema checker for the facility's telemetry export formats.
+"""Schema checker for the facility's telemetry exports and bench documents.
 
 Validates, with no third-party dependencies:
 
@@ -16,78 +16,43 @@ Validates, with no third-party dependencies:
   rounding slack), and (optionally) the span tree reaches ``--require-depth``
   levels — e.g. 4 proves campaign -> run -> step -> provider-attempt nesting.
 
-* Data-plane kernel baselines (``--dataplane``, ``BENCH_dataplane.json``):
-  schema, expected kernel set, byte-parity flags, and — only when the file was
-  generated in full mode on a multi-core host — a parallel-speedup floor at
-  the widest pool.  Baselines from 1-core runners record thread counts but
-  skip the speedup check: a width-N pool on one hardware thread legitimately
-  runs slower than sequential, so asserting speedup > 1 there rejects a
-  correct baseline.
+* Bench documents (``--bench BASELINE [FRESH]``), the ``pico.bench.v2``
+  schema every gated bench under ``bench/`` writes through
+  ``bench/harness.hpp``::
 
-* Orchestration-overhead baselines (``--overhead``, ``BENCH_overhead.json``):
-  schema, both Table-1 campaigns with all four signaling modes, span parity
-  (telemetry-rebuilt timings bit-identical to flow-service records), and the
-  headline claims: event-driven completion must cut the hyperspectral median
-  overhead fraction below polling (>= 2x on full-length runs), and
-  cut-through streaming must cut the spatiotemporal median *total* runtime
-  below event-only.
+      {schema, bench, mode, host, results,
+       gates: [{id, metric, op, bound, when, value, pass | skip}]}
 
-* Direct-streaming baselines (``--streaming``, ``BENCH_streaming.json``):
-  schema, all three campaign runs settled with zero lost flows, direct
-  streaming sooner to the first result than cut-through, the fault-free run
-  clean of degradation, and the frame-chaos run exercising every rung of the
-  degradation ladder (drops healed by retransmits, >= 1 spill-to-store,
-  >= 1 whole-flow fallback) while publishing a search index byte-identical
-  to the fault-free direct run.
+  Each gate's ``metric`` is a dotted path into ``results``; ``when`` says
+  which runs it applies to (``always``, ``full``, ``full_parallel``). The
+  checker re-evaluates every gate: the metric must exist and be a finite
+  number, the recorded value and verdict must match it, and the gate must
+  hold. A gate may be skipped only for a reason the document itself proves
+  and its ``when`` allows: ``smoke mode`` (``mode`` is ``smoke``; not an
+  ``always`` gate) or ``1 hardware thread`` (the host block says so; a
+  ``full_parallel`` gate). With ``FRESH`` — a document the same commit just
+  wrote, as CI does with a smoke run — ``BASELINE`` must be a full-mode run
+  and both must declare the same gate set (id, metric, op, bound, when), so
+  a checked-in baseline cannot keep passing under gates that were quietly
+  loosened, dropped, renamed or moved to fewer runs.
 
-* Health-plane baselines (``--observability``, ``BENCH_observability.json``):
-  schema, the always-on flight recorder + snapshot loop under the recorded
-  (<= 2%) wall-clock overhead limit on both Table-1 campaigns, the frame-chaos
-  campaign raising >= 1 SLO burn alert, >= 1 watchdog flag and >= 1 anomaly
-  alert with a non-empty flight dump per degraded flow, and the identical
-  fault-free campaign completely silent.
+JSON inputs are loaded through one guard: a missing file, truncated JSON, or
+a non-object top level is a one-line actionable failure (regenerate with the
+matching bench binary), never a raw traceback.
 
-* Control-plane scale baselines (``--controlplane``,
-  ``BENCH_controlplane.json``): schema, the bench's own pass flag, all three
-  flow tiers (10^3/10^4/10^5) present with sane event counts, the 10^5-flow
-  tier at or above the recorded speedup gate (>= 2.5x the pre-rewrite
-  baseline) with the gate itself not quietly loosened, search p99 under
-  10 ms at 10^6 documents with a non-degenerate query count, scheduler
-  micro-costs for both backends, and the heap-vs-wheel campaign parity
-  fingerprints bit-identical.
-
-* End-to-end integrity baselines (``--integrity``, ``BENCH_integrity.json``):
-  schema, the 50%-progress resume acceptance pair (resumed retry < 60% of
-  file bytes, whole-file restart >= 150%), and the chaos campaign's
-  guarantees: zero lost flows, nonzero detected corruption, a search index
-  byte-identical to the fault-free baseline, zero duplicate publications
-  (with nonzero suppressed duplicates proving the idempotency keys were
-  exercised), and positive retry bytes saved by verified resume.
-
-* Federation baselines (``--federation``, ``BENCH_federation.json``):
-  schema, the bench's own pass flag, the gates not quietly loosened
-  (completion >= 99%, recovery ceiling <= 900 s, fairness floor >= 0.97),
-  the fault-free run fully complete, the site-kill chaos run at or above the
-  completion floor with nonzero failovers and checkpoint-resumes, recovery
-  within the ceiling, Jain fairness at or above the floor on both runs, and
-  the chaos publish-index fingerprint byte-identical to the fault-free run.
-
-All JSON baselines are loaded through one guard: a missing file, truncated
-JSON, or a non-object top level is a one-line actionable failure (regenerate
-with the matching bench binary), never a raw traceback.
-
-Exit status is non-zero on the first file that fails, so CI can gate on it:
+Exit status is non-zero if any input fails, so CI can gate on it:
 
     python3 tools/check_telemetry.py --prom BENCH_dataplane.prom
     python3 tools/check_telemetry.py --trace chaos-output/trace.json \
         --require-depth 4 --prom chaos-output/metrics.prom --min-families 12
-    python3 tools/check_telemetry.py --dataplane BENCH_dataplane.json \
-        --overhead BENCH_overhead.json --integrity BENCH_integrity.json
+    python3 tools/check_telemetry.py \
+        --bench BENCH_overhead.json bench-overhead-smoke.json
 """
 
 import argparse
 import json
 import math
+import operator
 import re
 import sys
 
@@ -306,606 +271,141 @@ def check_trace(path, require_depth):
     return True
 
 
-DATAPLANE_KERNELS = {
-    "convert_fp64_u8", "to_u8_normalized", "sum_axis3_spectral",
-    "sum_keep_axis3_spectrum", "gaussian_blur", "crc64", "crc64_copy",
-    "lz_compress",
-}
+BENCH_SCHEMA = "pico.bench.v2"
 
-# A width-N pool on a multi-core host must not be slower than this fraction
-# of sequential at full problem sizes (chunking overhead aside, the kernels
-# are embarrassingly parallel).
-SPEEDUP_FLOOR = 0.7
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+       ">=": operator.ge, "==": operator.eq}
 
-# SIMD-vectorized kernels must actually *gain* from extra threads: the
-# false-sharing regression showed up as 0.32x at 4 threads, which the 0.7
-# floor would never have caught had it been milder.
-STRICT_SPEEDUP_KERNELS = {
-    "convert_fp64_u8", "to_u8_normalized", "sum_axis3_spectral",
-    "sum_keep_axis3_spectrum",
-}
-
-# Sequential-throughput ratchet (GB/s, full mode only). The convert/normalize
-# floors are 2x the 1.9 GB/s scalar baseline recorded before the SIMD layer
-# landed (measured ~4.9-5.1 GB/s with the AVX-512 backend); the sums are
-# ratcheted well under their ~10-11 GB/s measurements and the CRC kernels
-# under their ~1.3-1.4 GB/s, so a regression to scalar code paths fails the
-# gate while run-to-run noise on a shared CI host does not.
-SEQ_GBPS_FLOOR = {
-    "convert_fp64_u8": 3.8,
-    "to_u8_normalized": 3.8,
-    "sum_axis3_spectral": 5.0,
-    "sum_keep_axis3_spectrum": 5.0,
-    "crc64": 1.1,
-    "crc64_copy": 1.1,
+# The only reasons a gate may be skipped, each with the document fact that
+# must back it and the gate applicability (`when`) that admits it: the
+# harness derives them, and no flag can produce one.
+SKIP_REASONS = {
+    "smoke mode": lambda doc, when:
+        doc["mode"] == "smoke" and when in ("full", "full_parallel"),
+    "1 hardware thread": lambda doc, when:
+        doc["host"]["hardware_threads"] == 1 and when == "full_parallel",
 }
 
 
-def check_dataplane(path):
+def is_finite_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def lookup(results, dotted_path):
+    """Walk a dotted path through nested objects; None when absent."""
+    cur = results
+    for key in dotted_path.split("."):
+        if not isinstance(cur, dict) or key not in cur:
+            return None
+        cur = cur[key]
+    return cur
+
+
+def check_bench(path, want_mode=None):
+    """Validate one pico.bench.v2 document and re-evaluate its gates.
+
+    Returns ``(bench, gate_set)`` on success, None after reporting."""
     doc = load_bench_doc(path)
     if doc is None:
+        return None
+    if doc.get("schema") != BENCH_SCHEMA:
+        fail(path, f"schema {doc.get('schema')!r} is not {BENCH_SCHEMA!r}")
+        return None
+    for key, kind in (("bench", str), ("host", dict), ("results", dict),
+                      ("gates", list)):
+        if not isinstance(doc.get(key), kind):
+            fail(path, f"missing or malformed {key!r}")
+            return None
+    threads = doc["host"].get("hardware_threads")
+    if not isinstance(threads, int) or isinstance(threads, bool) \
+            or threads < 1:
+        fail(path, f"host.hardware_threads {threads!r} is not a positive "
+                   f"integer")
+        return None
+    if doc.get("mode") not in ("smoke", "full"):
+        fail(path, f"mode {doc.get('mode')!r} is neither smoke nor full")
+        return None
+    if want_mode and doc["mode"] != want_mode:
+        fail(path, f"a {doc['mode']}-mode document where a {want_mode}-mode "
+                   f"baseline is required — regenerate without --smoke")
+        return None
+    if not doc["gates"]:
+        fail(path, "declares no gates")
+        return None
+
+    gate_set, ids, passed, skipped = set(), set(), 0, 0
+    for i, gate in enumerate(doc["gates"]):
+        gid = gate.get("id") if isinstance(gate, dict) else None
+        if not isinstance(gid, str) \
+                or not isinstance(gate.get("metric"), str) \
+                or gate.get("op") not in OPS \
+                or not is_finite_number(gate.get("bound")) \
+                or gate.get("when") not in ("always", "full", "full_parallel"):
+            fail(path, f"gate {i}: malformed {gate!r}")
+            return None
+        if gid in ids:
+            fail(path, f"gate {gid}: declared twice")
+            return None
+        ids.add(gid)
+        metric, op, bound = gate["metric"], gate["op"], gate["bound"]
+        gate_set.add((gid, metric, op, bound, gate["when"]))
+        if "skip" in gate:
+            reason = gate["skip"]
+            if reason not in SKIP_REASONS or \
+                    not SKIP_REASONS[reason](doc, gate["when"]):
+                fail(path, f"gate {gid}: skip reason {reason!r} does not hold "
+                           f"for this document and a {gate['when']!r} gate")
+                return None
+            skipped += 1
+            continue
+        value = lookup(doc["results"], metric)
+        if value is None:
+            fail(path, f"gate {gid}: metric {metric!r} is missing from "
+                       f"results")
+            return None
+        if not is_finite_number(value):
+            fail(path, f"gate {gid}: metric {metric!r} = {value!r} is not a "
+                       f"finite number")
+            return None
+        holds = OPS[op](value, bound)
+        if gate.get("value") != value or gate.get("pass") is not holds:
+            fail(path, f"gate {gid}: recorded value/verdict "
+                       f"{gate.get('value')!r}/{gate.get('pass')!r} disagrees "
+                       f"with results ({value!r}/{holds})")
+            return None
+        if not holds:
+            fail(path, f"gate {gid}: {metric} = {value:g} violates "
+                       f"{op} {bound:g}")
+            return None
+        passed += 1
+    print(f"{path}: ok ({doc['bench']} {doc['mode']}: {passed} gates pass, "
+          f"{skipped} skipped)")
+    return doc["bench"], gate_set
+
+
+def check_bench_pair(baseline, fresh):
+    """A checked-in full-mode baseline against a fresh document from the same
+    commit: both valid, same bench, same declared gate set."""
+    base = check_bench(baseline, want_mode="full")
+    new = check_bench(fresh)
+    if base is None or new is None:
         return False
-    if doc.get("schema") != "pico.bench.dataplane.v2":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    if doc.get("parity_all") is not True:
-        return fail(path, "parity_all is not true")
-    hw = doc.get("hardware_threads")
-    if not isinstance(hw, int) or hw < 1:
-        return fail(path, f"bad hardware_threads {hw!r}")
-    simd = doc.get("simd_level")
-    if simd not in ("scalar", "avx2", "avx512", "neon"):
-        return fail(path, f"bad simd_level {simd!r}")
-    widths = doc.get("pool_widths")
-    if not isinstance(widths, list) or not widths:
-        return fail(path, "missing pool_widths")
-    if max(widths) > hw:
-        return fail(path, f"pool width {max(widths)} exceeds "
-                          f"hardware_threads {hw} — the sweep must be "
-                          f"clamped, not oversubscribed")
-    requested = doc.get("requested_widths")
-    if not isinstance(requested, list) or not requested:
-        return fail(path, "missing requested_widths")
-    if doc.get("oversubscribed") != any(w > hw for w in requested):
-        return fail(path, f"oversubscribed flag {doc.get('oversubscribed')!r}"
-                          f" inconsistent with requested widths {requested} "
-                          f"on a {hw}-thread host")
-
-    kernels = {k.get("kernel") for k in doc.get("kernels", [])}
-    missing = DATAPLANE_KERNELS - kernels
-    if missing:
-        return fail(path, f"missing kernels: {sorted(missing)}")
-    for k in doc.get("kernels", []):
-        name = k.get("kernel")
-        if k.get("parity") is not True:
-            return fail(path, f"{name}: parity is not true")
-        if not isinstance(k.get("sequential_s"), (int, float)) \
-                or k["sequential_s"] < 0:
-            return fail(path, f"{name}: bad sequential_s")
-        for entry in k.get("parallel", []):
-            threads = entry.get("threads")
-            if not isinstance(threads, int) or threads < 1:
-                return fail(path, f"{name}: parallel entry without a "
-                                  f"recorded thread count: {entry!r}")
-            if not isinstance(entry.get("seconds"), (int, float)) \
-                    or entry["seconds"] <= 0:
-                return fail(path, f"{name}: bad parallel seconds")
-
-    # Sequential-throughput ratchet: full-size problems only (smoke problems
-    # fit in cache and overshoot; they prove the emitter, not the kernels).
-    if doc.get("mode") == "full":
-        for k in doc["kernels"]:
-            floor = SEQ_GBPS_FLOOR.get(k["kernel"])
-            if floor is None:
-                continue
-            gbps = k.get("sequential_gbps", 0)
-            if gbps < floor:
-                return fail(path, f"{k['kernel']}: sequential "
-                                  f"{gbps:.2f} GB/s < ratchet floor "
-                                  f"{floor} GB/s")
-
-    # Speedup regression check: only meaningful when the pool actually had
-    # hardware to spread over and the problems ran at full size.
-    if hw == 1:
-        note = "speedup check skipped (1 hardware thread)"
-    elif doc.get("mode") != "full":
-        note = f"speedup check skipped (mode {doc.get('mode')!r})"
-    else:
-        note = "speedup floors hold at widest pool"
-        for k in doc["kernels"]:
-            par = [e for e in k.get("parallel", []) if e["threads"] > 1]
-            if not par:
-                continue
-            widest = max(par, key=lambda e: e["threads"])
-            speedup = widest.get("speedup_vs_sequential", 0)
-            floor = 1.0 if k["kernel"] in STRICT_SPEEDUP_KERNELS \
-                else SPEEDUP_FLOOR
-            if speedup < floor:
-                return fail(path, f"{k['kernel']}: speedup "
-                                  f"{speedup:.2f}x at {widest['threads']} "
-                                  f"threads < floor {floor}x on a "
-                                  f"{hw}-thread host")
-    print(f"{path}: ok ({len(kernels)} kernels, {hw} hardware threads, "
-          f"simd {simd}, {note})")
-    return True
-
-
-OVERHEAD_MODES = ("paper_polling", "adaptive_polling", "event_driven",
-                  "event_streaming")
-
-
-def check_overhead(path):
-    doc = load_bench_doc(path)
-    if doc is None:
-        return False
-    if doc.get("schema") != "pico.bench.overhead.v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    if doc.get("span_parity_all") is not True:
-        return fail(path, "span_parity_all is not true: telemetry spans do "
-                          "not reproduce the flow-service timings")
-    duration = doc.get("duration_s")
-    if not isinstance(duration, (int, float)) or duration <= 0:
-        return fail(path, f"bad duration_s {duration!r}")
-    # Short smoke campaigns have too few flows for the calibrated-margin
-    # claims; they still must satisfy ordering.
-    full_length = duration >= 3600
-
-    campaigns = {c.get("use_case"): c for c in doc.get("campaigns", [])}
-    if set(campaigns) != {"hyperspectral", "spatiotemporal"}:
-        return fail(path, f"campaigns {sorted(campaigns)} != both Table-1 "
-                          f"use cases")
-
-    by_mode = {}
-    for use_case, c in campaigns.items():
-        modes = {m.get("mode"): m for m in c.get("modes", [])}
-        if set(modes) != set(OVERHEAD_MODES):
-            return fail(path, f"{use_case}: modes {sorted(modes)} != "
-                              f"{sorted(OVERHEAD_MODES)}")
-        for name, m in modes.items():
-            if m.get("runs", 0) <= 0:
-                return fail(path, f"{use_case}/{name}: no completed runs")
-            if m.get("span_parity") is not True:
-                return fail(path, f"{use_case}/{name}: span parity broken")
-            for key in ("median_total_s", "max_total_s", "median_overhead_s",
-                        "median_overlap_s", "polls_per_run"):
-                v = m.get(key)
-                if not isinstance(v, (int, float)) or v < 0:
-                    return fail(path, f"{use_case}/{name}: bad {key} {v!r}")
-            frac = m.get("median_overhead_frac")
-            if not isinstance(frac, (int, float)) or not 0 <= frac <= 1:
-                return fail(path, f"{use_case}/{name}: overhead fraction "
-                                  f"{frac!r} outside [0, 1]")
-        by_mode[use_case] = modes
-
-    # Headline claim 1: event-driven completion cuts the hyperspectral median
-    # overhead fraction vs paper-default polling (>= 2x at full length).
-    poll = by_mode["hyperspectral"]["paper_polling"]["median_overhead_frac"]
-    event = by_mode["hyperspectral"]["event_driven"]["median_overhead_frac"]
-    if event >= poll:
-        return fail(path, f"hyperspectral: event-driven overhead fraction "
-                          f"{event:.3f} is not below polling {poll:.3f}")
-    ratio = poll / event if event > 0 else float("inf")
-    if full_length and ratio < 2.0:
-        return fail(path, f"hyperspectral: polling/event overhead-fraction "
-                          f"ratio {ratio:.2f}x < required 2x")
-
-    # Headline claim 2: cut-through streaming cuts the spatiotemporal median
-    # *total* runtime below event-only completion.
-    ev_total = by_mode["spatiotemporal"]["event_driven"]["median_total_s"]
-    st = by_mode["spatiotemporal"]["event_streaming"]
-    if st["median_total_s"] >= ev_total:
-        return fail(path, f"spatiotemporal: streaming total "
-                          f"{st['median_total_s']:.1f}s is not below "
-                          f"event-only {ev_total:.1f}s")
-    if st["median_overlap_s"] <= 0:
-        return fail(path, "spatiotemporal: streaming mode recorded no "
-                          "transfer/compute overlap")
-
-    print(f"{path}: ok (hyperspectral overhead fraction {poll:.3f} -> "
-          f"{event:.3f} [{ratio:.2f}x], spatiotemporal total "
-          f"{ev_total:.1f}s -> {st['median_total_s']:.1f}s with "
-          f"{st['median_overlap_s']:.1f}s overlap)")
-    return True
-
-
-INTEGRITY_RUNS = ("baseline", "chaos_resume", "chaos_restart")
-
-
-def check_integrity(path):
-    doc = load_bench_doc(path)
-    if doc is None:
-        return False
-    if doc.get("schema") != "pico.bench.integrity.v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    if doc.get("pass") is not True:
-        return fail(path, "the bench itself recorded a failed assertion")
-
-    # The 50%-progress resume acceptance pair.
-    acc = doc.get("resume_acceptance")
-    if not isinstance(acc, dict):
-        return fail(path, "missing resume_acceptance")
-    retry_frac = acc.get("resume_retry_wire_frac")
-    restart_frac = acc.get("restart_total_wire_frac")
-    if not isinstance(retry_frac, (int, float)) or retry_frac < 0:
-        return fail(path, f"bad resume_retry_wire_frac {retry_frac!r}")
-    if retry_frac >= 0.6:
-        return fail(path, f"resumed retry moved {100 * retry_frac:.1f}% of "
-                          f"file bytes, required < 60%")
-    if not isinstance(restart_frac, (int, float)) or restart_frac < 1.5:
-        return fail(path, f"whole-file restart moved "
-                          f"{restart_frac!r}x the file, required >= 1.5x")
-    if acc.get("resume_chunks_resumed", 0) <= 0:
-        return fail(path, "retry did not resume any verified chunks")
-
-    campaign = doc.get("campaign")
-    if not isinstance(campaign, dict):
-        return fail(path, "missing campaign")
-    runs = {r.get("run"): r for r in campaign.get("runs", [])}
-    if set(runs) != set(INTEGRITY_RUNS):
-        return fail(path, f"campaign runs {sorted(runs)} != "
-                          f"{sorted(INTEGRITY_RUNS)}")
-    for name, r in runs.items():
-        if r.get("settled", 0) <= 0:
-            return fail(path, f"{name}: no settled flows")
-        if r.get("eagle_clean") is not True:
-            return fail(path, f"{name}: campaign ended with a corrupt "
-                              f"object still in the store")
-
-    resume = runs["chaos_resume"]
-    if resume.get("failed", 1) != 0 or resume.get("lost", 1) != 0:
-        return fail(path, f"chaos_resume lost flows (failed "
-                          f"{resume.get('failed')!r}, lost "
-                          f"{resume.get('lost')!r})")
-    corruption = sum(resume.get(k, 0) for k in
-                     ("corruption_detected_wire",
-                      "corruption_detected_landing",
-                      "corruption_detected_at_rest"))
-    if corruption <= 0:
-        return fail(path, "chaos campaign detected no corruption — the "
-                          "fault schedule did not exercise the checks")
-    if resume.get("duplicate_publishes") != 0:
-        return fail(path, f"chaos_resume published "
-                          f"{resume.get('duplicate_publishes')!r} records "
-                          f"beyond one per successful flow")
-    if resume.get("publish_duplicates_suppressed", 0) <= 0:
-        return fail(path, "no duplicate publishes were suppressed — the "
-                          "idempotency keys were never exercised")
-    if resume.get("chunks_resumed", 0) <= 0:
-        return fail(path, "chaos_resume never resumed a chunk from a "
-                          "manifest")
-    if campaign.get("index_match_resume_vs_baseline") is not True:
-        return fail(path, "chaos campaign index diverged from the "
-                          "fault-free baseline")
-    saved = campaign.get("retry_bytes_saved")
-    if not isinstance(saved, (int, float)) or saved <= 0:
-        return fail(path, f"retry_bytes_saved {saved!r} is not positive")
-
-    print(f"{path}: ok (retry moved {100 * retry_frac:.1f}% resumed vs "
-          f"{100 * restart_frac:.1f}% restarted; campaign detected "
-          f"{corruption:.0f} corruptions, suppressed "
-          f"{resume['publish_duplicates_suppressed']:.0f} duplicate "
-          f"publishes, saved {saved / 1e6:.0f} MB of retry bytes)")
-    return True
-
-
-STREAMING_RUNS = ("cutthrough", "direct", "direct_chaos")
-
-
-def check_streaming(path):
-    doc = load_bench_doc(path)
-    if doc is None:
-        return False
-    if doc.get("schema") != "pico.bench.streaming.v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    if doc.get("pass") is not True:
-        return fail(path, "the bench itself recorded a failed assertion")
-
-    runs = {r.get("run"): r for r in doc.get("runs", [])}
-    if set(runs) != set(STREAMING_RUNS):
-        return fail(path, f"runs {sorted(runs)} != {sorted(STREAMING_RUNS)}")
-    for name, r in runs.items():
-        if r.get("settled", 0) <= 0:
-            return fail(path, f"{name}: no settled flows")
-        if r.get("failed", 1) != 0 or r.get("lost", 1) != 0:
-            return fail(path, f"{name}: flows failed or were lost (failed "
-                              f"{r.get('failed')!r}, lost {r.get('lost')!r})")
-        ttfr = r.get("time_to_first_result_s")
-        if not isinstance(ttfr, (int, float)) or ttfr <= 0:
-            return fail(path, f"{name}: bad time_to_first_result_s {ttfr!r}")
-
-    # Headline claim: bypassing the landing store reaches the first settled
-    # result sooner than the cut-through store-mediated pipeline.
-    direct = runs["direct"]
-    cutthrough = runs["cutthrough"]
-    if direct["time_to_first_result_s"] >= cutthrough["time_to_first_result_s"]:
-        return fail(path, f"direct first result "
-                          f"{direct['time_to_first_result_s']:.1f}s is not "
-                          f"sooner than cut-through "
-                          f"{cutthrough['time_to_first_result_s']:.1f}s")
-    # The fault-free direct run must stay on the direct rung...
-    for key in ("retransmits", "spills", "fallbacks"):
-        if direct.get(key, 1) != 0:
-            return fail(path, f"direct: fault-free run recorded "
-                              f"{key} {direct.get(key)!r}")
-    # ...while the chaos run must climb the whole degradation ladder and
-    # still converge on identical science.
-    chaos = runs["direct_chaos"]
-    if chaos.get("frames_dropped", 0) <= 0 or chaos.get("retransmits", 0) <= 0:
-        return fail(path, "chaos run dropped no frames or never "
-                          "retransmitted — the drop window did not engage")
-    if chaos.get("spills", 0) < 1:
-        return fail(path, "chaos run never spilled to the store")
-    if chaos.get("fallbacks", 0) < 1:
-        return fail(path, "chaos run never fell back whole-flow")
-    if doc.get("index_match_chaos_vs_direct") is not True or \
-            chaos.get("index_fingerprint") != direct.get("index_fingerprint"):
-        return fail(path, "chaos campaign index diverged from the "
-                          "fault-free direct run")
-
-    print(f"{path}: ok (first result "
-          f"{cutthrough['time_to_first_result_s']:.1f}s -> "
-          f"{direct['time_to_first_result_s']:.1f}s; chaos survived "
-          f"{chaos['frames_dropped']:.0f} drops with "
-          f"{chaos['retransmits']:.0f} retransmits, "
-          f"{chaos['spills']:.0f} spills, {chaos['fallbacks']:.0f} "
-          f"fallbacks, index intact)")
-    return True
-
-
-OBSERVABILITY_RUNS = ("chaos", "fault_free")
-
-
-def check_observability(path):
-    doc = load_bench_doc(path)
-    if doc is None:
-        return False
-    if doc.get("schema") != "pico.bench.observability.v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    if doc.get("pass") is not True:
-        return fail(path, "the bench itself recorded a failed assertion")
-
-    # Overhead: health plane on vs off on both Table-1 campaigns. The limit
-    # is recorded in the file but must not have been quietly loosened.
-    limit = doc.get("overhead_limit_pct")
-    if not isinstance(limit, (int, float)) or limit > 2.0:
-        return fail(path, f"overhead_limit_pct {limit!r} looser than 2%")
-    overhead = {o.get("campaign"): o for o in doc.get("overhead", [])}
-    if set(overhead) != {"hyperspectral", "spatiotemporal"}:
-        return fail(path, f"overhead campaigns {sorted(overhead)} != both "
-                          f"Table-1 use cases")
-    for name, o in overhead.items():
-        for key in ("off_wall_s", "on_wall_s"):
-            if not isinstance(o.get(key), (int, float)) or o[key] <= 0:
-                return fail(path, f"{name}: bad {key} {o.get(key)!r}")
-        pct = o.get("overhead_pct")
-        if not isinstance(pct, (int, float)) or pct >= limit:
-            return fail(path, f"{name}: health-plane overhead {pct!r}% is "
-                              f"not under {limit}%")
-
-    # Efficacy: chaos lights the plane up, the identical fault-free campaign
-    # stays dark.
-    runs = {r.get("run"): r for r in doc.get("runs", [])}
-    if set(runs) != set(OBSERVABILITY_RUNS):
-        return fail(path, f"runs {sorted(runs)} != "
-                          f"{sorted(OBSERVABILITY_RUNS)}")
-    for name, r in runs.items():
-        if r.get("settled", 0) <= 0:
-            return fail(path, f"{name}: no settled flows")
-        if r.get("failed", 1) != 0:
-            return fail(path, f"{name}: {r.get('failed')!r} flows failed")
-        if r.get("health_ticks", 0) <= 0:
-            return fail(path, f"{name}: health monitor never ticked")
-
-    chaos = runs["chaos"]
-    if chaos.get("fallbacks", 0) < 1:
-        return fail(path, "chaos run degraded no flows — the fault schedule "
-                          "did not exercise the plane")
-    if chaos.get("slo_alerts", 0) < 1:
-        return fail(path, "chaos run raised no SLO burn alert")
-    if chaos.get("watchdog_flags", 0) < 1:
-        return fail(path, "chaos run flagged no flow via the watchdogs")
-    if chaos.get("anomaly_alerts", 0) < 1:
-        return fail(path, "chaos run raised no anomaly alert")
-    if chaos.get("degraded_flow_dumps", 0) < chaos.get("fallbacks", 0):
-        return fail(path, f"only {chaos.get('degraded_flow_dumps')!r} flight "
-                          f"dumps cover the {chaos.get('fallbacks')!r} "
-                          f"degraded flows")
-    if chaos.get("empty_dumps", 1) != 0:
-        return fail(path, f"{chaos.get('empty_dumps')!r} flight dumps were "
-                          f"empty — the recorder missed the flow's events")
-    alerts = chaos.get("alerts")
-    if not isinstance(alerts, list) or not alerts:
-        return fail(path, "chaos run recorded no alert details")
-    for i, a in enumerate(alerts):
-        if not isinstance(a.get("kind"), str) or not a.get("kind"):
-            return fail(path, f"alert {i}: missing kind")
-        if not isinstance(a.get("subject"), str):
-            return fail(path, f"alert {i}: missing subject")
-        if not isinstance(a.get("at_s"), (int, float)) or a["at_s"] < 0:
-            return fail(path, f"alert {i}: bad at_s {a.get('at_s')!r}")
-
-    quiet = runs["fault_free"]
-    for key in ("slo_alerts", "watchdog_flags", "anomaly_alerts",
-                "flight_dumps"):
-        if quiet.get(key, 1) != 0:
-            return fail(path, f"fault_free run is not silent: {key} = "
-                              f"{quiet.get(key)!r}")
-
-    print(f"{path}: ok (overhead "
-          f"{overhead['hyperspectral']['overhead_pct']:+.2f}% / "
-          f"{overhead['spatiotemporal']['overhead_pct']:+.2f}% under "
-          f"{limit}%; chaos raised {chaos['slo_alerts']:.0f} SLO + "
-          f"{chaos['watchdog_flags']:.0f} watchdog + "
-          f"{chaos['anomaly_alerts']:.0f} anomaly alerts, "
-          f"{chaos['flight_dumps']:.0f} flight dumps; fault-free silent)")
-    return True
-
-
-def check_controlplane(path):
-    doc = load_bench_doc(path)
-    if doc is None:
-        return False
-    if doc.get("schema") != "pico.bench.controlplane.v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    if doc.get("pass") is not True:
-        return fail(path, "the bench itself recorded a failed assertion")
-    smoke = bool(doc.get("smoke"))
-
-    sched = doc.get("sched", {})
-    backends = {b.get("name"): b for b in sched.get("backends", [])}
-    if set(backends) != {"heap", "wheel"}:
-        return fail(path, f"scheduler backends {sorted(backends)} != "
-                          f"heap + wheel")
-    for name, b in backends.items():
-        for key in ("schedule_ns", "cancel_ns", "drain_ns"):
-            v = b.get(key)
-            if not isinstance(v, (int, float)) or v <= 0:
-                return fail(path, f"{name}: bad {key} {v!r}")
-
-    flows = doc.get("flows", {})
-    tiers = {t.get("flows"): t for t in flows.get("tiers", [])}
-    want_tiers = {1000, 10000} if smoke else {1000, 10000, 100000}
-    if set(tiers) != want_tiers:
-        return fail(path, f"flow tiers {sorted(tiers)} != "
-                          f"{sorted(want_tiers)}")
-    for n, t in tiers.items():
-        if not isinstance(t.get("flows_per_s"), (int, float)) \
-                or t["flows_per_s"] <= 0:
-            return fail(path, f"tier {n}: bad flows_per_s "
-                              f"{t.get('flows_per_s')!r}")
-        epf = t.get("events_per_flow")
-        if not isinstance(epf, (int, float)) or not 5 <= epf <= 100:
-            return fail(path, f"tier {n}: events_per_flow {epf!r} is not a "
-                              f"plausible orchestration workload")
-
-    parity = doc.get("parity", {})
-    if parity.get("match") is not True:
-        return fail(path, "heap vs wheel campaign parity broken")
-    fp_heap = parity.get("fingerprint_heap")
-    fp_wheel = parity.get("fingerprint_wheel")
-    if not fp_heap or fp_heap != fp_wheel:
-        return fail(path, f"parity fingerprints differ: {fp_heap!r} vs "
-                          f"{fp_wheel!r}")
-
-    if smoke:
-        print(f"{path}: ok (smoke: schema, backends, tiers, parity)")
-        return True
-
-    # Full-mode throughput gates. The gate factor is recorded in the file but
-    # must not have been quietly loosened.
-    gate = flows.get("speedup_gate_100k")
-    if not isinstance(gate, (int, float)) or gate < 2.5:
-        return fail(path, f"speedup_gate_100k {gate!r} looser than 2.5x")
-    baseline = flows.get("baseline_flows_per_s_100k")
-    if not isinstance(baseline, (int, float)) or baseline <= 0:
-        return fail(path, f"bad baseline_flows_per_s_100k {baseline!r}")
-    top = tiers[100000]["flows_per_s"]
-    speedup = top / baseline
-    if speedup < gate:
-        return fail(path, f"10^5-flow tier {top:.0f} flows/s is "
-                          f"{speedup:.2f}x baseline, under the {gate}x gate")
-
-    search = doc.get("search", {})
-    if search.get("docs") != 1000000:
-        return fail(path, f"search tier {search.get('docs')!r} != 10^6 docs")
-    if not isinstance(search.get("queries"), (int, float)) \
-            or search["queries"] < 100:
-        return fail(path, f"degenerate query count {search.get('queries')!r}")
-    p99 = search.get("p99_ms")
-    if not isinstance(p99, (int, float)) or p99 >= 10.0:
-        return fail(path, f"search p99 {p99!r} ms is not under 10 ms")
-    for key in ("ingest_docs_per_s", "remove_docs_per_s"):
-        v = search.get(key)
-        if not isinstance(v, (int, float)) or v <= 0:
-            return fail(path, f"bad {key} {v!r}")
-
-    print(f"{path}: ok (10^5 tier {top:.0f} flows/s = {speedup:.2f}x "
-          f"baseline >= {gate}x; search p99 {p99:.3f} ms at 10^6 docs; "
-          f"heap/wheel parity {fp_heap})")
-    return True
-
-
-FEDERATION_RUNS = ("clean", "chaos")
-
-
-def check_federation(path):
-    doc = load_bench_doc(path)
-    if doc is None:
-        return False
-    if doc.get("schema") != "pico.bench.federation.v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    if doc.get("pass") is not True:
-        return fail(path, "the bench itself recorded a failed assertion")
-
-    # The gates are recorded in the file but must not be quietly loosened.
-    gates = doc.get("gates")
-    if not isinstance(gates, dict):
-        return fail(path, "missing gates")
-    completion_min = gates.get("completion_min")
-    if not isinstance(completion_min, (int, float)) or completion_min < 0.99:
-        return fail(path, f"completion_min {completion_min!r} looser than "
-                          f"the required 99%")
-    ceiling = gates.get("recovery_ceiling_s")
-    if not isinstance(ceiling, (int, float)) or ceiling > 900:
-        return fail(path, f"recovery_ceiling_s {ceiling!r} looser than 900 s")
-    fairness_min = gates.get("fairness_min")
-    if not isinstance(fairness_min, (int, float)) or fairness_min < 0.97:
-        return fail(path, f"fairness_min {fairness_min!r} looser than 0.97")
-
-    runs = {}
-    for name in FEDERATION_RUNS:
-        r = doc.get(name)
-        if not isinstance(r, dict):
-            return fail(path, f"missing {name} campaign")
-        if not isinstance(r.get("flows"), (int, float)) or r["flows"] <= 0:
-            return fail(path, f"{name}: bad flows {r.get('flows')!r}")
-        for key in ("completion_frac", "p50_s", "p99_s", "jain_fairness"):
-            v = r.get(key)
-            if not isinstance(v, (int, float)) or v < 0:
-                return fail(path, f"{name}: bad {key} {v!r}")
-        if r["jain_fairness"] < fairness_min:
-            return fail(path, f"{name}: Jain fairness "
-                              f"{r['jain_fairness']:.4f} under the "
-                              f"{fairness_min} floor")
-        runs[name] = r
-    clean, chaos = runs["clean"], runs["chaos"]
-
-    if clean["completion_frac"] < 1.0:
-        return fail(path, f"fault-free run left flows unfinished "
-                          f"({100 * clean['completion_frac']:.2f}%)")
-    if chaos["completion_frac"] < completion_min:
-        return fail(path, f"chaos completion "
-                          f"{100 * chaos['completion_frac']:.2f}% under the "
-                          f"{100 * completion_min:.0f}% floor — failover did "
-                          f"not absorb the site kill")
-    if chaos.get("failovers", 0) <= 0:
-        return fail(path, "chaos run recorded no failovers — the site kill "
-                          "never exercised the broker")
-    if chaos.get("resumed", 0) <= 0:
-        return fail(path, "no flow resumed past completed steps at a peer — "
-                          "checkpoint-resume was never exercised")
-    recovery = chaos.get("recovery_s")
-    if not isinstance(recovery, (int, float)) or not 0 < recovery <= ceiling:
-        return fail(path, f"failover recovery {recovery!r} s outside "
-                          f"(0, {ceiling}] s")
-    if gates.get("fingerprint_match") is not True or \
-            not clean.get("fingerprint") or \
-            chaos.get("fingerprint") != clean.get("fingerprint"):
-        return fail(path, "chaos publish index diverged from the fault-free "
-                          "run — failover changed or lost science")
-
-    print(f"{path}: ok ({chaos['flows']:.0f} flows x {doc.get('sites')} "
-          f"sites: chaos completion "
-          f"{100 * chaos['completion_frac']:.2f}%, "
-          f"{chaos['failovers']:.0f} failovers recovered in "
-          f"{recovery:.1f}s <= {ceiling:.0f}s, Jain "
-          f"{chaos['jain_fairness']:.4f} >= {fairness_min}, p99 "
-          f"{chaos['p99_s']:.1f}s vs clean {clean['p99_s']:.1f}s, "
-          f"index intact)")
+    if base[0] != new[0]:
+        return fail(baseline, f"bench {base[0]!r} but {fresh} is {new[0]!r}")
+    if base[1] != new[1]:
+        stale = sorted(base[1] - new[1])
+        missing = sorted(new[1] - base[1])
+        return fail(baseline, f"gate set differs from {fresh} — regenerate "
+                              f"the baseline; only in the baseline: {stale}; "
+                              f"only in the fresh document: {missing}")
+    print(f"{baseline}: gate set matches {fresh} ({len(base[1])} gates)")
     return True
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("--prom", action="append", default=[],
                         help="Prometheus text file to validate (repeatable)")
     parser.add_argument("--min-families", type=int, default=1,
@@ -915,55 +415,28 @@ def main():
                              "(repeatable)")
     parser.add_argument("--require-depth", type=int, default=1,
                         help="minimum span-tree depth per trace file")
-    parser.add_argument("--dataplane", action="append", default=[],
-                        help="BENCH_dataplane.json baseline to validate "
-                             "(repeatable)")
-    parser.add_argument("--overhead", action="append", default=[],
-                        help="BENCH_overhead.json baseline to validate "
-                             "(repeatable)")
-    parser.add_argument("--integrity", action="append", default=[],
-                        help="BENCH_integrity.json baseline to validate "
-                             "(repeatable)")
-    parser.add_argument("--streaming", action="append", default=[],
-                        help="BENCH_streaming.json baseline to validate "
-                             "(repeatable)")
-    parser.add_argument("--observability", action="append", default=[],
-                        help="BENCH_observability.json baseline to validate "
-                             "(repeatable)")
-    parser.add_argument("--controlplane", action="append", default=[],
-                        help="BENCH_controlplane.json baseline to validate "
-                             "(repeatable)")
-    parser.add_argument("--federation", action="append", default=[],
-                        help="BENCH_federation.json baseline to validate "
-                             "(repeatable)")
+    parser.add_argument("--bench", action="append", default=[], nargs="+",
+                        metavar="DOC",
+                        help="pico.bench.v2 document to validate, optionally "
+                             "followed by a fresh smoke document whose gate "
+                             "set it must match (repeatable)")
     args = parser.parse_args()
-    if not args.prom and not args.trace and not args.dataplane \
-            and not args.overhead and not args.integrity \
-            and not args.streaming and not args.observability \
-            and not args.controlplane and not args.federation:
-        parser.error("nothing to check: pass --prom, --trace, --dataplane, "
-                     "--overhead, --integrity, --streaming, --observability, "
-                     "--controlplane and/or --federation")
+    if not args.prom and not args.trace and not args.bench:
+        parser.error("nothing to check: pass --prom, --trace and/or --bench")
+    if any(len(paths) > 2 for paths in args.bench):
+        parser.error("--bench takes a document and at most one fresh "
+                     "document")
 
     ok = True
     for path in args.prom:
         ok = check_prom(path, args.min_families) and ok
     for path in args.trace:
         ok = check_trace(path, args.require_depth) and ok
-    for path in args.dataplane:
-        ok = check_dataplane(path) and ok
-    for path in args.overhead:
-        ok = check_overhead(path) and ok
-    for path in args.integrity:
-        ok = check_integrity(path) and ok
-    for path in args.streaming:
-        ok = check_streaming(path) and ok
-    for path in args.observability:
-        ok = check_observability(path) and ok
-    for path in args.controlplane:
-        ok = check_controlplane(path) and ok
-    for path in args.federation:
-        ok = check_federation(path) and ok
+    for paths in args.bench:
+        if len(paths) == 2:
+            ok = check_bench_pair(*paths) and ok
+        else:
+            ok = check_bench(paths[0]) is not None and ok
     return 0 if ok else 1
 
 
