@@ -26,8 +26,8 @@ std::string task_state_name(TaskState s) {
 }
 
 ComputeService::ComputeService(sim::Engine* engine, auth::AuthService* auth,
-                               uint64_t seed, sim::Trace* trace)
-    : engine_(engine), auth_(auth), rng_(seed), trace_(trace) {}
+                               uint64_t seed)
+    : engine_(engine), auth_(auth), rng_(seed) {}
 
 FunctionId ComputeService::register_function(FunctionSpec spec) {
   FunctionId id = "fn-" + spec.name;
@@ -71,18 +71,18 @@ util::Result<TaskId> ComputeService::submit(const EndpointId& endpoint,
   task.held = held;
   task.info.submitted = engine_->now();
   if (telemetry_) {
-    // Context parent: the flow attempt span scoped around provider->start().
-    task.span = telemetry_->tracer.open("compute", id);
-    task.flight_subject = telemetry_->flight.current();
-    if (!task.flight_subject.empty()) {
-      telemetry_->flight.record(
-          task.flight_subject, util::LogLevel::Info, "compute",
-          "compute-submit", engine_->now(),
-          util::Json::object({{"task", id},
-                              {"endpoint", endpoint},
-                              {"function", function},
-                              {"held", held}}));
-    }
+    // Context frame: the flow attempt span and run id scoped around
+    // provider->start().
+    telemetry::Tracer::Context ctx = telemetry_->tracer.context();
+    task.span = telemetry_->tracer.open("compute", id, ctx.span);
+    task.flight_subject = std::move(ctx.subject);
+    telemetry_->flight.record(
+        task.flight_subject, util::LogLevel::Info, "compute",
+        "compute-submit", engine_->now(),
+        util::Json::object({{"task", id},
+                            {"endpoint", endpoint},
+                            {"function", function},
+                            {"held", held}}));
   }
   tasks_[id] = std::move(task);
 
@@ -279,15 +279,10 @@ void ComputeService::begin_execution(const EndpointId& eid, const TaskId& tid,
                          "Compute tasks by terminal state",
                          {{"state", "node_failure"}})
                 .inc();
-            if (!t.flight_subject.empty()) {
-              telemetry_->flight.record(
-                  t.flight_subject, util::LogLevel::Warn, "compute",
-                  "node-failure", engine_->now(),
-                  util::Json::object({{"task", tid}, {"job", job_for_log}}));
-            }
-          } else if (trace_) {
-            trace_->add(sim::Span{"compute", "node-failure", tid,
-                                  t.info.started, t.info.completed, {}});
+            telemetry_->flight.record(
+                t.flight_subject, util::LogLevel::Warn, "compute",
+                "node-failure", engine_->now(),
+                util::Json::object({{"task", tid}, {"job", job_for_log}}));
           }
           pump_endpoint(eid);
           if (t.settled_cb) t.settled_cb(t.info);
@@ -315,12 +310,6 @@ void ComputeService::begin_execution(const EndpointId& eid, const TaskId& tid,
               .histogram("compute_task_active_seconds",
                          "Service-side execution time per compute task")
               .observe((t.info.completed - t.info.started).seconds());
-        } else if (trace_) {
-          trace_->add(sim::Span{
-              "compute", result ? "active" : "failed", tid, t.info.started,
-              t.info.completed,
-              util::Json::object({{"function", t.function},
-                                  {"cold_start", t.info.cold_start}})});
         }
 
         // Free the node and mark it warmed (libraries now cached).

@@ -19,7 +19,6 @@
 #include "auth/auth.hpp"
 #include "hpcsim/pbs.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -81,7 +80,7 @@ struct TaskInfo {
 class ComputeService {
  public:
   ComputeService(sim::Engine* engine, auth::AuthService* auth,
-                 uint64_t seed = 0xFC4ull, sim::Trace* trace = nullptr);
+                 uint64_t seed = 0xFC4ull);
 
   /// Register a function; returns its id.
   FunctionId register_function(FunctionSpec spec);
@@ -186,7 +185,6 @@ class ComputeService {
   sim::Engine* engine_;
   auth::AuthService* auth_;
   util::Rng rng_;
-  sim::Trace* trace_;
   telemetry::Telemetry* telemetry_ = nullptr;
   std::map<FunctionId, Function> functions_;
   std::map<EndpointId, Endpoint> endpoints_;

@@ -425,15 +425,10 @@ CampaignResult run_campaign(Facility& facility, const CampaignConfig& config) {
                                      : spatiotemporal_flow(facility));
   driver->result = &result;
 
-  // Per-step timeout overrides (chaos campaigns abandon stuck actions) and
-  // best-effort flags (what a federation broker may shed under brownout).
+  // Per-step timeout overrides (chaos campaigns abandon stuck actions).
   for (auto& step : driver->definition.steps) {
     auto it = config.step_timeouts.find(step.name);
     if (it != config.step_timeouts.end()) step.timeout_s = it->second;
-    if (std::find(config.optional_steps.begin(), config.optional_steps.end(),
-                  step.name) != config.optional_steps.end()) {
-      step.optional = true;
-    }
   }
 
   // Cut-through streaming: flag the requested steps, and give the Transfer
@@ -474,7 +469,7 @@ CampaignResult run_campaign(Facility& facility, const CampaignConfig& config) {
   if (config.slow_run_threshold_s > 0) {
     facility.flows().set_slow_run_threshold(config.slow_run_threshold_s);
   }
-  if (config.health_monitor && facility.health().config().enabled) {
+  if (facility.health().config().enabled) {
     facility.health().start(config.duration_s);
   }
 
@@ -551,7 +546,7 @@ CampaignResult run_campaign(Facility& facility, const CampaignConfig& config) {
 
   // One closing health pass over the drained queue: the final snapshot sees
   // every terminal counter, so end-of-window SLO burn and scores are exact.
-  if (config.health_monitor && facility.health().config().enabled) {
+  if (facility.health().config().enabled) {
     facility.health().tick();
   }
 

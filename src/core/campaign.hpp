@@ -58,10 +58,6 @@ struct CampaignConfig {
   /// cut-through once the preceding step's first chunk lands. Requires the
   /// flow service to run in Events completion mode to have any effect.
   std::vector<std::string> streaming_steps;
-  /// Steps (by name) marked `optional` on the definition — what a federation
-  /// broker sheds under brownout before rejecting admissions. The facility's
-  /// own orchestrator always runs them; only a broker strips them.
-  std::vector<std::string> optional_steps;
   /// Chunk size injected into a Transfer step's params when the step after it
   /// streams (progress granularity of the cut-through pipeline).
   int64_t streaming_chunk_bytes = 8 * 1000 * 1000;
@@ -78,9 +74,6 @@ struct CampaignConfig {
   /// increment flow_runs_slow_total (the health plane's latency burn signal)
   /// and stamp an "slo-slow" flight event. 0 = no objective.
   double slow_run_threshold_s = 0;
-  /// Arm the facility's periodic HealthMonitor for the campaign window
-  /// (snapshots, SLO burn, watchdogs, anomaly detection — DESIGN.md §15).
-  bool health_monitor = true;
   /// Stage real synthesized EMD payloads (instrument generators) instead of
   /// size-only virtual files, so every flow exercises the actual data-plane
   /// kernels: EMD parse, axis reductions, peak finding / particle tracking,

@@ -21,29 +21,23 @@ namespace pico::core {
 using util::Json;
 
 Facility::Facility(FacilityConfig config)
-    : Facility(std::move(config), nullptr) {}
-
-Facility::Facility(FacilityConfig config, sim::Engine* shared_engine)
     : config_(std::move(config)),
-      owned_engine_(shared_engine ? nullptr : std::make_unique<sim::Engine>()),
-      engine_(shared_engine ? shared_engine : owned_engine_.get()),
       user_store_("picoprobe-staging", config_.user_store_capacity),
       eagle_("eagle", config_.eagle_capacity),
       node_memory_("polaris-nodemem", config_.node_memory_capacity),
       index_("picoprobe-experiments"),
       cost_rng_(config_.seed ^ 0xC057ull) {
   build_topology();
-  network_ = std::make_unique<net::Network>(engine_, &topo_);
+  network_ = std::make_unique<net::Network>(&engine_, &topo_);
 
   transfer::TransferConfig tcfg;
   tcfg.setup_mean_s = config_.cost.transfer_setup_mean_s;
   tcfg.setup_jitter_s = config_.cost.transfer_setup_jitter_s;
   tcfg.per_file_overhead_s = config_.cost.transfer_per_file_s;
-  tcfg.fault_prob = config_.transfer_fault_prob;
   tcfg.max_retries = config_.transfer_max_retries;
   tcfg.per_flow_rate_cap_bps = config_.cost.per_flow_rate_cap_bps;
   transfer_ = std::make_unique<transfer::TransferService>(
-      engine_, network_.get(), &auth_, tcfg, config_.seed ^ 0x7F1, &trace_);
+      &engine_, network_.get(), &auth_, tcfg, config_.seed ^ 0x7F1);
   transfer_->register_endpoint(kUserEndpoint, user_node_, &user_store_);
   transfer_->register_endpoint(kEagleEndpoint, eagle_node_, &eagle_);
 
@@ -59,7 +53,7 @@ Facility::Facility(FacilityConfig config, sim::Engine* shared_engine)
   wiring.src_endpoint = kUserEndpoint;
   wiring.store_endpoint = kEagleEndpoint;
   stream_ = std::make_unique<transfer::StreamService>(
-      engine_, network_.get(), &auth_, transfer_.get(), config_.stream,
+      &engine_, network_.get(), &auth_, transfer_.get(), config_.stream,
       wiring, config_.seed ^ 0x57A3);
 
   hpcsim::ClusterConfig ccfg;
@@ -67,11 +61,11 @@ Facility::Facility(FacilityConfig config, sim::Engine* shared_engine)
   ccfg.node_count = config_.polaris_nodes;
   ccfg.provision_delay_s = config_.cost.provision_delay_s;
   ccfg.provision_jitter_s = config_.cost.provision_jitter_s;
-  pbs_ = std::make_unique<hpcsim::PbsScheduler>(engine_, ccfg,
+  pbs_ = std::make_unique<hpcsim::PbsScheduler>(&engine_, ccfg,
                                                 config_.seed ^ 0x9B5);
 
   compute_ = std::make_unique<compute::ComputeService>(
-      engine_, &auth_, config_.seed ^ 0xC03, &trace_);
+      &engine_, &auth_, config_.seed ^ 0xC03);
   compute::EndpointConfig ecfg;
   ecfg.name = "polaris";
   ecfg.scheduler = pbs_.get();
@@ -79,16 +73,15 @@ Facility::Facility(FacilityConfig config, sim::Engine* shared_engine)
   ecfg.env_warmup_s = config_.cost.env_warmup_s;
   ecfg.env_warmup_jitter_s = config_.cost.env_warmup_jitter_s;
   ecfg.warm_idle_timeout_s = config_.cost.warm_idle_timeout_s;
-  ecfg.node_failure_prob = config_.compute_node_failure_prob;
   polaris_ep_ = compute_->register_endpoint(ecfg);
 
   flows_ = std::make_unique<flow::FlowService>(
-      engine_, &auth_, config_.flow, config_.seed ^ 0xF70, &trace_);
+      &engine_, &auth_, config_.flow, config_.seed ^ 0xF70);
   transfer_provider_ = std::make_unique<TransferProvider>(transfer_.get());
   stream_provider_ = std::make_unique<StreamProvider>(stream_.get());
   compute_provider_ = std::make_unique<ComputeProvider>(compute_.get());
   search_provider_ = std::make_unique<SearchIngestProvider>(
-      engine_, &auth_, &index_, config_.cost.publication_s,
+      &engine_, &auth_, &index_, config_.cost.publication_s,
       config_.cost.publication_jitter_s, config_.seed ^ 0x5E4);
   flows_->register_provider(transfer_provider_.get());
   flows_->register_provider(stream_provider_.get());
@@ -102,7 +95,6 @@ Facility::Facility(FacilityConfig config, sim::Engine* shared_engine)
   compute_->set_telemetry(&telemetry_);
   flows_->set_telemetry(&telemetry_);
   search_provider_->set_telemetry(&telemetry_);
-  flows_->set_site(config_.site_name);
 
   // Health plane: flight-ring sizing comes from the config; the periodic
   // monitor is armed here but only ticks once someone calls
@@ -110,8 +102,7 @@ Facility::Facility(FacilityConfig config, sim::Engine* shared_engine)
   // and network — the telemetry library itself cannot depend on net/.
   telemetry_.flight.configure(config_.health.flight);
   health_ = std::make_unique<telemetry::health::HealthMonitor>(
-      *engine_, telemetry_, config_.health);
-  health_->set_site(config_.site_name);
+      engine_, telemetry_, config_.health);
   health_->set_link_probe([this] {
     std::vector<telemetry::health::LinkProbe> probes;
     for (net::LinkId lid = 0;
@@ -176,7 +167,7 @@ util::Result<fault::FaultInjector*> Facility::install_faults(
     const fault::FaultSchedule& schedule) {
   using R = util::Result<fault::FaultInjector*>;
   fault::FaultInjector::Services services;
-  services.engine = engine_;
+  services.engine = &engine_;
   services.topology = &topo_;
   services.network = network_.get();
   services.transfer = transfer_.get();
@@ -192,10 +183,6 @@ util::Result<fault::FaultInjector*> Facility::install_faults(
   services.stores[node_memory_.name()] = &node_memory_;
   services.default_store = eagle_.name();
   services.storage_seed = config_.seed ^ 0x5C0FFull;
-  services.site_hook = [this](fault::FaultKind kind, const std::string& site,
-                              double severity, bool begin) {
-    on_site_fault(kind, site, severity, begin);
-  };
   injector_ = std::make_unique<fault::FaultInjector>(std::move(services));
   injector_->set_telemetry(&telemetry_);
   auto installed = injector_->install(schedule);
@@ -206,29 +193,10 @@ util::Result<fault::FaultInjector*> Facility::install_faults(
   return R::ok(injector_.get());
 }
 
-void Facility::on_site_fault(fault::FaultKind kind, const std::string& site,
-                             double severity, bool begin) {
-  // An event targeting another named site is not ours; an empty target means
-  // the injector's default facility, i.e. this one.
-  if (!site.empty() && site != config_.site_name) return;
-  if (kind == fault::FaultKind::SiteOutage) {
-    // The whole facility goes dark: the transfer and compute control planes
-    // reject, and PBS stops launching jobs — in-flight local runs fail fast
-    // so the broker's failover (not a slow retry crawl) owns recovery.
-    transfer_->set_available(!begin);
-    compute_->set_available(!begin);
-    pbs_->set_drain(begin);
-  }
-  // SitePartition / SiteBrownout change nothing locally: a partitioned site
-  // keeps executing (the broker just cannot see or reach it until heal), and
-  // brownout is a routing/shedding decision made broker-side.
-  if (site_fault_handler_) site_fault_handler_(kind, severity, begin);
-}
-
 storage::Scrubber& Facility::start_scrubber(
     const storage::ScrubberConfig& config) {
   scrubber_ =
-      std::make_unique<storage::Scrubber>(engine_, &eagle_, config,
+      std::make_unique<storage::Scrubber>(&engine_, &eagle_, config,
                                           &telemetry_);
   scrubber_->set_repair([this](const std::string& path) {
     auto task =
@@ -248,12 +216,12 @@ util::Status Facility::stage_virtual_file(const std::string& path,
   // Synthetic checksum: derived from the path so transfer verification has a
   // stable value to compare.
   uint64_t crc = util::crc64(path);
-  return user_store_.put_virtual(path, bytes, crc, engine_->now());
+  return user_store_.put_virtual(path, bytes, crc, engine_.now());
 }
 
 util::Status Facility::stage_real_file(const std::string& path,
                                        std::vector<uint8_t> bytes) {
-  return user_store_.put(path, std::move(bytes), engine_->now());
+  return user_store_.put(path, std::move(bytes), engine_.now());
 }
 
 util::Result<const storage::Object*> Facility::data_object(
@@ -335,8 +303,7 @@ util::Result<Json> Facility::run_hyperspectral_analysis(const Json& args) {
   }
 
   analysis::HyperspectralAnalysis result = analysis::analyze_hyperspectral(
-      cube.value(), energy_axis, {},
-      config_.parallel_data_plane ? &util::shared_pool() : nullptr);
+      cube.value(), energy_axis, {}, &util::shared_pool());
 
   // Artifacts: intensity map (Fig. 2A) + spectrum with element markers
   // (Fig. 2B), written to the real filesystem for the portal.
@@ -430,14 +397,12 @@ util::Result<Json> Facility::run_spatiotemporal_analysis(const Json& args) {
 
   // EMD -> video conversion (the paper's fp64 -> uint8 bottleneck), then
   // per-frame detection, tracking, and annotation burn-in. The parallel
-  // conversion is bit-identical to convert_fast, so the knob changes wall
-  // clock only; convert_naive stays untouched as the A4 pessimal baseline.
+  // conversion is bit-identical to convert_fast (its sequential reference
+  // twin); convert_naive stays untouched as the A4 pessimal baseline.
   bool naive = args.at("naive_convert").as_bool(false);
   tensor::Tensor<uint8_t> frames_u8 =
       naive ? video::convert_naive(stack.value())
-      : config_.parallel_data_plane
-          ? video::convert_parallel(stack.value(), util::shared_pool())
-          : video::convert_fast(stack.value());
+            : video::convert_parallel(stack.value(), util::shared_pool());
   video::MpkVideo mpk = video::MpkVideo::from_stack(frames_u8);
 
   // Per-frame detection fans out across the whole node (the paper's compute

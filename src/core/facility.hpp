@@ -37,19 +37,9 @@ struct FacilityConfig {
   int polaris_nodes = 16;
   int compute_max_blocks = 4;
   flow::FlowServiceConfig flow;     ///< backoff defaults to the paper policy
-  double transfer_fault_prob = 0.0;
   int transfer_max_retries = 3;
-  /// Fault injection: probability a Polaris node dies mid-task (flows
-  /// recover via their Analyze retry budget).
-  double compute_node_failure_prob = 0.0;
   /// Real-filesystem directory where analysis functions write plot artifacts.
   std::string artifact_dir = "picoflow-artifacts";
-  /// Run the analysis functions' real data-plane kernels (fp64->uint8
-  /// conversion, axis reductions) on the shared thread pool, the way the
-  /// paper's compute functions own a whole Polaris node. The parallel
-  /// kernels are bit-identical to their sequential twins, so flipping this
-  /// never changes analysis results or campaign reports — only wall clock.
-  bool parallel_data_plane = true;
   int64_t user_store_capacity = static_cast<int64_t>(10e12);   // 10 TB
   int64_t eagle_capacity = static_cast<int64_t>(100e15);       // O(100 PB)
   /// Aggregate node-memory budget for direct-streamed acquisitions.
@@ -60,30 +50,19 @@ struct FacilityConfig {
   /// anomaly thresholds (DESIGN.md §15). The monitor itself only runs once
   /// the campaign (or an experiment) calls health().start(horizon).
   telemetry::health::HealthConfig health;
-  /// Federation identity: names this facility in breaker snapshots, health
-  /// reports, and site-fault targeting. Empty (default) keeps the classic
-  /// single-facility behaviour — no site labels appear anywhere.
-  std::string site_name;
   uint64_t seed = 42;
 };
 
 class Facility {
  public:
   explicit Facility(FacilityConfig config);
-  /// Federated construction: N replicated facilities share one discrete-event
-  /// engine (one virtual clock), each keeping its own topology, stores,
-  /// services, breakers, and health plane. `shared_engine` must outlive the
-  /// facility.
-  Facility(FacilityConfig config, sim::Engine* shared_engine);
 
   // Well-known endpoint names.
   static constexpr const char* kUserEndpoint = "picoprobe-user";
   static constexpr const char* kEagleEndpoint = "alcf-eagle";
 
-  sim::Engine& engine() { return *engine_; }
+  sim::Engine& engine() { return engine_; }
   sim::Trace& trace() { return trace_; }
-  /// Site name this facility answers to in a federation ("" = unfederated).
-  const std::string& site() const { return config_.site_name; }
   /// Facility-wide telemetry: causal tracer (sinking into trace()) plus the
   /// metrics registry every service reports into.
   telemetry::Telemetry& telemetry() { return telemetry_; }
@@ -121,25 +100,11 @@ class Facility {
 
   /// Install a chaos schedule against this facility's services. Call before
   /// engine().run(). Returns the injector for fault-log inspection; it stays
-  /// owned by the facility.
+  /// owned by the facility. Site-level kinds (site_outage, site_partition,
+  /// site_brownout) are refused: they belong to the federated driver.
   util::Result<fault::FaultInjector*> install_faults(
       const fault::FaultSchedule& schedule);
   fault::FaultInjector* injector() { return injector_.get(); }
-
-  /// Observer for site-level chaos aimed at this facility (SiteOutage /
-  /// SitePartition / SiteBrownout events whose target is this site, or empty).
-  /// The facility applies its local effects first — an outage takes the
-  /// transfer and compute planes down and drains PBS — then forwards to the
-  /// handler (the federation broker's failover trigger).
-  void set_site_fault_handler(
-      std::function<void(fault::FaultKind, double severity, bool begin)> h) {
-    site_fault_handler_ = std::move(h);
-  }
-  /// Entry point install_faults() wires into FaultInjector::Services::
-  /// site_hook; exposed so an external (broker-owned) injector can deliver
-  /// site faults to facilities it did not install schedules on.
-  void on_site_fault(fault::FaultKind kind, const std::string& site,
-                     double severity, bool begin);
 
   /// Start a periodic at-rest integrity scrubber over Eagle: corrupt objects
   /// are quarantined and re-transferred from the surviving user-store copy
@@ -174,11 +139,7 @@ class Facility {
   util::Result<util::Json> run_spatiotemporal_analysis(const util::Json& args);
 
   FacilityConfig config_;
-  /// Owned in the classic single-facility construction; null when the
-  /// facility joined a federation built around a shared engine. All service
-  /// wiring goes through `engine_`, which points at whichever is live.
-  std::unique_ptr<sim::Engine> owned_engine_;
-  sim::Engine* engine_ = nullptr;
+  sim::Engine engine_;
   sim::Trace trace_;
   telemetry::Telemetry telemetry_{&trace_};
   net::Topology topo_;
@@ -207,7 +168,6 @@ class Facility {
   compute::EndpointId polaris_ep_;
   compute::FunctionId hyper_fn_;
   compute::FunctionId spatio_fn_;
-  std::function<void(fault::FaultKind, double, bool)> site_fault_handler_;
   util::Rng cost_rng_;  ///< run-to-run analysis cost variability (seeded)
 };
 

@@ -17,8 +17,8 @@
 //   frames          (spatiotemporal, int) frame-count hint for virtual files
 //   naive_convert   (spatiotemporal, bool) use the pessimal fp64->u8 path
 //   parallel_convert (spatiotemporal, bool) model the whole-node parallel
-//                   conversion cost (A4 what-if; the real kernels are chosen
-//                   by FacilityConfig::parallel_data_plane)
+//                   conversion cost (A4 what-if; the real kernels always
+//                   run on the shared thread pool)
 #include "core/facility.hpp"
 #include "flow/service.hpp"
 

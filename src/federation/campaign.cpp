@@ -249,8 +249,10 @@ FederatedCampaignResult run_federated_campaign(
   result.flows = config.flows;
 
   size_t users = std::max<size_t>(1, config.users);
-  auto submit_one = std::make_shared<std::function<void(size_t)>>();
-  *submit_one = [&, submit_one](size_t i) {
+  // Owned by this frame and captured by reference: engine.run() below drains
+  // every posted resubmission before the function returns.
+  std::function<void(size_t)> submit_one;
+  submit_one = [&](size_t i) {
     std::string user = "user-" + std::to_string(i % users);
     SubmitOutcome out = broker.submit(
         def, input_for(config, i), user, subject_of(i), [&, i](bool ok) {
@@ -275,7 +277,7 @@ FederatedCampaignResult run_federated_campaign(
       double delay =
           out.retry_after_s + 0.001 * static_cast<double>(i % 101);
       engine.post_after(sim::Duration::from_seconds(delay),
-                        [submit_one, i] { (*submit_one)(i); });
+                        [&submit_one, i] { submit_one(i); });
     }
   };
 
@@ -284,7 +286,7 @@ FederatedCampaignResult run_federated_campaign(
                   static_cast<double>(std::max<size_t>(1, config.flows));
     fstate[i].first_submit = sim::SimTime::from_seconds(at_s);
     engine.post_at(sim::SimTime::from_seconds(at_s),
-                   [submit_one, i] { (*submit_one)(i); });
+                   [&submit_one, i] { submit_one(i); });
   }
 
   engine.run();

@@ -53,15 +53,6 @@ double Broker::route_score(size_t site_idx,
     if (ss.site.flows->breaker_retry_after_s(step.provider) > 0)
       score -= config_.breaker_penalty;
   }
-  // Health-plane scores, when the site runs a monitor.
-  if (ss.site.health) {
-    double min_score = 100.0;
-    for (const auto& p : ss.site.health->provider_scores())
-      min_score = std::min(min_score, p.score);
-    for (const auto& l : ss.site.health->link_scores())
-      if (!l.up) min_score = std::min(min_score, l.score);
-    score -= config_.health_weight * (100.0 - min_score);
-  }
   score -= config_.brownout_penalty * ss.brownout;
   return score;
 }

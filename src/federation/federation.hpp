@@ -6,11 +6,11 @@
 // reject-with-retry-after) instead of letting any queue collapse.
 //
 // The broker is deliberately a peer OF the facilities, not a layer inside
-// one: it holds raw pointers to each site's FlowService / TransferService /
-// HealthMonitor (all driven by one shared sim::Engine so virtual clocks
-// agree) and makes every decision from the same observable surface a real
-// cross-facility broker would have — queue depths, breaker snapshots, health
-// scores, site fault state — never from simulator internals.
+// one: it holds raw pointers to each site's FlowService / TransferService
+// (all driven by one shared sim::Engine so virtual clocks agree) and makes
+// every decision from the same observable surface a real cross-facility
+// broker would have — queue depths, breaker snapshots, site fault state —
+// never from simulator internals.
 //
 // Failover contract (the robustness tentpole): when a site dies mid-flow the
 // broker checkpoints the run's portable inter-step state (completed-step
@@ -33,15 +33,14 @@
 #include "federation/quota.hpp"
 #include "flow/service.hpp"
 #include "sim/engine.hpp"
-#include "telemetry/health/monitor.hpp"
 #include "transfer/service.hpp"
 #include "util/json.hpp"
 
 namespace pico::federation {
 
 /// One facility as the broker sees it. `flows` and `engine` are required;
-/// `transfer` (manifest mirroring) and `health` (score-based routing) are
-/// optional and simply drop their routing/failover contribution when null.
+/// `transfer` (manifest mirroring) is optional and simply drops its failover
+/// contribution when null.
 /// All sites must share one engine — the broker asserts nothing but virtual
 /// time only makes sense on a common clock.
 struct Site {
@@ -49,7 +48,6 @@ struct Site {
   sim::Engine* engine = nullptr;
   flow::FlowService* flows = nullptr;
   transfer::TransferService* transfer = nullptr;
-  telemetry::health::HealthMonitor* health = nullptr;
   auth::Token token;      ///< credential the broker launches runs with
   double capacity = 1.0;  ///< relative size; normalizes queue-depth penalty
 };
@@ -69,7 +67,6 @@ struct BrokerConfig {
   // ---- Routing-score weights (score starts at 100 per site) --------------
   double queue_penalty = 40.0;     ///< x site load fraction
   double breaker_penalty = 25.0;   ///< per def provider with an open breaker
-  double health_weight = 0.3;      ///< x (100 - min provider health score)
   double brownout_penalty = 60.0;  ///< x site brownout severity
 };
 

@@ -62,14 +62,12 @@ double RunTiming::active_union_s() const {
 }
 
 FlowService::FlowService(sim::Engine* engine, auth::AuthService* auth,
-                         FlowServiceConfig config, uint64_t seed,
-                         sim::Trace* trace)
+                         FlowServiceConfig config, uint64_t seed)
     : engine_(engine),
       auth_(auth),
       config_(config),
       rng_(seed),
-      seed_(seed),
-      trace_(trace) {}
+      seed_(seed) {}
 
 void FlowService::register_provider(ActionProvider* provider) {
   std::string name = provider->name();
@@ -457,13 +455,13 @@ void FlowService::dispatch_step(Run& run) {
     run.attempt_started = engine_->now();
   }
   util::Result<ActionHandle> handle = [&] {
-    // Scope the attempt span around the provider call so the service-side
-    // task (transfer/compute) parents to this attempt via tracer context,
-    // and the flight subject so the service's async events (frame NACKs,
-    // chunk retries) reach this run's ring.
+    // Scope the attempt span and run id around the provider call: the
+    // service-side task (transfer/compute) parents to this attempt and
+    // routes its async events (frame NACKs, chunk retries) to this run's
+    // flight ring, both from the one tracer context frame.
     if (!telemetry_) return provider->start(resolved, run.token);
-    telemetry::Tracer::Scope scope(telemetry_->tracer, run.attempt_span);
-    telemetry::health::FlightRecorder::Scope fscope(telemetry_->flight, run.id);
+    telemetry::Tracer::Scope scope(telemetry_->tracer, run.attempt_span,
+                                   run.id);
     return provider->start(resolved, run.token);
   }();
   if (!handle) {
@@ -686,9 +684,7 @@ void FlowService::on_stream_progress(Run& run, uint64_t epoch) {
   }
   util::Result<ActionHandle> handle = [&] {
     if (!telemetry_) return provider->start_held(resolved, run.token);
-    telemetry::Tracer::Scope scope(telemetry_->tracer, attempt_span);
-    telemetry::health::FlightRecorder::Scope fscope(telemetry_->flight,
-                                                    run.id);
+    telemetry::Tracer::Scope scope(telemetry_->tracer, attempt_span, run.id);
     return provider->start_held(resolved, run.token);
   }();
   if (!handle) {
@@ -926,14 +922,6 @@ void FlowService::complete_step(Run& run, ActionPollResult poll) {
                      {"active_s", timing.active_s()},
                      {"polls", timing.polls},
                  }));
-  } else if (trace_) {
-    trace_->add(sim::Span{"flow", "step", run.id + "/" + step.name,
-                          timing.dispatched, timing.discovered,
-                          util::Json::object({
-                              {"active_s", timing.active_s()},
-                              {"lag_s", timing.discovery_lag_s()},
-                              {"polls", timing.polls},
-                          })});
   }
 
   run.info.current_step += 1;
@@ -1062,14 +1050,6 @@ void FlowService::finish_run(Run& run) {
                      {"overhead_s", run.timing.overhead_s()},
                  }));
     telemetry_->flight.close(run.id, engine_->now());
-  } else if (trace_) {
-    trace_->add(sim::Span{"flow", "run", run.id, run.timing.submitted,
-                          run.timing.finished,
-                          util::Json::object({
-                              {"active_s", run.timing.active_s()},
-                              {"overhead_s", run.timing.overhead_s()},
-                              {"label", run.info.label},
-                          })});
   }
   if (run.finished_cb) run.finished_cb(run.id, run.info);
 }

@@ -270,8 +270,7 @@ struct RunCheckpoint {
 class FlowService {
  public:
   FlowService(sim::Engine* engine, auth::AuthService* auth,
-              FlowServiceConfig config, uint64_t seed = 0xF10Dull,
-              sim::Trace* trace = nullptr);
+              FlowServiceConfig config, uint64_t seed = 0xF10Dull);
 
   /// Register an action provider under its name().
   void register_provider(ActionProvider* provider);
@@ -279,8 +278,8 @@ class FlowService {
   /// Attach facility telemetry. With it set, every run/step/provider attempt
   /// becomes a node in the causal span tree (campaign -> run -> step ->
   /// attempt), breaker transitions and retry decisions land as span events,
-  /// and the flow_* metric families are maintained. Null (the default) keeps
-  /// the legacy flat trace spans so standalone use needs no setup.
+  /// and the flow_* metric families are maintained. Null (the default)
+  /// records no spans or metrics, so standalone use needs no setup.
   void set_telemetry(telemetry::Telemetry* telemetry);
 
   /// Launch a flow run. Requires scope "flows". Runs execute concurrently —
@@ -512,7 +511,6 @@ class FlowService {
   std::string site_;
   util::Rng rng_;
   uint64_t seed_;  ///< mixed into each run's deterministic backoff salt
-  sim::Trace* trace_;
   telemetry::Telemetry* telemetry_ = nullptr;
   /// Step span of the run currently being advanced on this stack; breaker
   /// transition observers attach their events here. Valid because the sim

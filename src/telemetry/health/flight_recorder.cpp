@@ -101,22 +101,6 @@ void FlightRecorder::close(const std::string& subject, sim::SimTime at) {
   if (sink) sink(subject, dump_doc);
 }
 
-std::string FlightRecorder::current() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (context_.empty()) return {};
-  return context_.back();
-}
-
-void FlightRecorder::push(std::string subject) {
-  std::lock_guard<std::mutex> lock(mu_);
-  context_.push_back(std::move(subject));
-}
-
-void FlightRecorder::pop() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!context_.empty()) context_.pop_back();
-}
-
 void FlightRecorder::set_dump_sink(DumpSink sink) {
   std::lock_guard<std::mutex> lock(mu_);
   sink_ = std::move(sink);

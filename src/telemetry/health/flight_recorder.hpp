@@ -8,10 +8,10 @@
 //
 // Subjects are free-form strings: flow run ids for orchestrated work,
 // "chaos" / "scrubber" for facility-level actors. Attribution across async
-// service boundaries uses a context stack mirroring telemetry::Tracer — the
-// flow engine pushes its run id around provider->start(), and the service
-// captures current() into the task/session it creates, so frame NACKs landing
-// seconds later still reach the right ring.
+// service boundaries rides telemetry::Tracer's context stack — the flow
+// engine scopes its attempt span and run id around provider->start(), and
+// the service captures Tracer::context().subject into the task/session it
+// creates, so frame NACKs landing seconds later still reach the right ring.
 //
 // Built on util/log.hpp: every event carries a LogLevel, events at Warn or
 // above mark the ring dump-worthy, and recorded events mirror into the
@@ -96,11 +96,11 @@ struct FlightRecorderConfig {
   util::LogLevel dump_level = util::LogLevel::Error;
 };
 
-/// Registry of flight rings plus the subject context stack. One mutex guards
-/// the maps and stack; ring appends are O(1) under it (the sim engine is the
-/// only steady-state writer, so the lock is uncontended in practice). Rings
-/// never go away, so the open ones are also kept in their own subject-sorted
-/// map: the watchdog scan costs O(open rings), not O(rings ever opened).
+/// Registry of flight rings. One mutex guards the maps; ring appends are
+/// O(1) under it (the sim engine is the only steady-state writer, so the lock
+/// is uncontended in practice). Rings never go away, so the open ones are
+/// also kept in their own subject-sorted map: the watchdog scan costs
+/// O(open rings), not O(rings ever opened).
 class FlightRecorder {
  public:
   FlightRecorder() = default;
@@ -115,7 +115,8 @@ class FlightRecorder {
   void open(const std::string& subject, sim::SimTime at);
 
   /// Append an event. Auto-opens the ring. No-op when disabled or `subject`
-  /// is empty — services record against current() unconditionally.
+  /// is empty — services record against their captured context subject
+  /// unconditionally.
   void record(const std::string& subject, util::LogLevel level,
               std::string component, std::string name, sim::SimTime at,
               util::Json attrs = {});
@@ -127,22 +128,6 @@ class FlightRecorder {
   /// Settle a ring: no more activity expected. If it was marked dump-worthy
   /// and a dump sink is installed, the sink fires here with the full JSON.
   void close(const std::string& subject, sim::SimTime at);
-
-  /// Subject context stack (engine-thread scoped, like Tracer's).
-  std::string current() const;
-  class Scope {
-   public:
-    Scope(FlightRecorder& recorder, std::string subject)
-        : recorder_(&recorder) {
-      recorder_->push(std::move(subject));
-    }
-    ~Scope() { recorder_->pop(); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    FlightRecorder* recorder_;
-  };
 
   /// Dump sink: fired at close() for dump-worthy rings (and by flush_dumps
   /// for rings still open). Campaign drivers install a file writer.
@@ -170,9 +155,6 @@ class FlightRecorder {
   uint64_t dump_worthy_count() const;
 
  private:
-  friend class Scope;
-  void push(std::string subject);
-  void pop();
   FlightRecord& ring_for(const std::string& subject, sim::SimTime at);
 
   mutable std::mutex mu_;
@@ -180,7 +162,6 @@ class FlightRecorder {
   std::map<std::string, std::unique_ptr<FlightRecord>> rings_;
   /// The rings not closed: inserted by ring_for, erased by close.
   std::map<std::string, FlightRecord*> open_;
-  std::vector<std::string> context_;
   DumpSink sink_;
   uint64_t events_recorded_ = 0;
 };

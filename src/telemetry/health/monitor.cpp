@@ -21,7 +21,6 @@ double clamp_score(double s) { return std::min(100.0, std::max(0.0, s)); }
 util::Json HealthReport::to_json() const {
   util::Json doc = util::Json::object();
   doc["at_s"] = at.seconds();
-  if (!site.empty()) doc["site"] = site;
   util::Json prov = util::Json::array();
   for (const auto& p : providers) {
     util::Json row = util::Json::object();
@@ -293,19 +292,16 @@ void HealthMonitor::tick() {
         .set(s.slow_burn);
   }
   for (const auto& p : provider_scores_) {
-    Labels labels{{"provider", p.provider}};
-    if (!site_.empty()) labels["site"] = site_;
     metrics
         .gauge("health_provider_score",
-               "Broker-facing provider health score (0-100)", labels)
+               "Broker-facing provider health score (0-100)",
+               {{"provider", p.provider}})
         .set(p.score);
   }
   for (const auto& l : link_scores_) {
-    Labels labels{{"link", l.link}};
-    if (!site_.empty()) labels["site"] = site_;
     metrics
         .gauge("health_link_score", "Broker-facing link health score (0-100)",
-               labels)
+               {{"link", l.link}})
         .set(l.score);
   }
   metrics.gauge("health_open_flows", "Flows with open flight rings")
@@ -321,7 +317,6 @@ void HealthMonitor::tick() {
 HealthReport HealthMonitor::report() const {
   HealthReport report;
   report.at = engine_->now();
-  report.site = site_;
   report.providers = provider_scores_;
   report.links = link_scores_;
   report.slos = slo_.status();

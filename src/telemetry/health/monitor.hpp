@@ -2,7 +2,7 @@
 // The live health plane: a periodic monitor that snapshots the metrics
 // registry, evaluates SLO burn rates, runs flow watchdogs over the flight
 // recorder, feeds the anomaly detector, and distills per-provider/per-link
-// health scores — the interface a federation broker reads to route flows.
+// health scores.
 //
 // Everything the monitor emits goes three ways: a HealthReport (JSON + portal
 // page), health_* gauges/counters back into the MetricsRegistry (so the
@@ -71,10 +71,6 @@ struct LinkScore {
 
 struct HealthReport {
   sim::SimTime at;
-  /// Owning facility's federation site name ("" = unfederated). Stamped so a
-  /// broker aggregating N facility reports keys every score by (site,
-  /// provider) — never by provider name alone.
-  std::string site;
   std::vector<ProviderScore> providers;
   std::vector<LinkScore> links;
   std::vector<SloStatus> slos;
@@ -99,11 +95,6 @@ class HealthMonitor {
   /// library cannot depend on net/).
   void set_link_probe(std::function<std::vector<LinkProbe>()> probe);
 
-  /// Federation identity stamped on reports and the health_* gauge label
-  /// sets. Empty (default) keeps the classic unlabelled series.
-  void set_site(std::string site) { site_ = std::move(site); }
-  const std::string& site() const { return site_; }
-
   /// Schedule periodic ticks while tick time <= horizon (campaign duration),
   /// so the engine's queue still drains.
   void start(double horizon_s);
@@ -114,15 +105,6 @@ class HealthMonitor {
   /// Current scores and alert history; the open/stalled flow counts are
   /// those of the last tick().
   HealthReport report() const;
-
-  /// Last computed broker-facing scores (refreshed each tick()). Cheap
-  /// references — a federation broker consults them on every submit, where
-  /// copying the full report (bounded alert history included) would dominate
-  /// the routing cost.
-  const std::vector<ProviderScore>& provider_scores() const {
-    return provider_scores_;
-  }
-  const std::vector<LinkScore>& link_scores() const { return link_scores_; }
 
   const std::vector<HealthAlert>& alerts() const { return alerts_; }
   uint64_t slo_alerts() const { return slo_alerts_; }
@@ -143,7 +125,6 @@ class HealthMonitor {
   sim::Engine* engine_;
   Telemetry* telemetry_;
   HealthConfig config_;
-  std::string site_;
   SloEngine slo_;
   AnomalyDetector anomaly_;
   std::function<std::vector<LinkProbe>()> link_probe_;

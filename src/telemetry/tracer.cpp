@@ -12,7 +12,7 @@ uint64_t Tracer::open(std::string component, std::string label,
   p.component = std::move(component);
   p.label = std::move(label);
   p.parent = parent == kUseContext
-                 ? (context_.empty() ? 0 : context_.back())
+                 ? (context_.empty() ? 0 : context_.back().span)
                  : parent;
   open_.emplace(id, std::move(p));
   return id;
@@ -53,7 +53,12 @@ void Tracer::close(uint64_t span, std::string category, sim::SimTime start,
 
 uint64_t Tracer::current() const {
   std::lock_guard lock(mu_);
-  return context_.empty() ? 0 : context_.back();
+  return context_.empty() ? 0 : context_.back().span;
+}
+
+Tracer::Context Tracer::context() const {
+  std::lock_guard lock(mu_);
+  return context_.empty() ? Context{} : context_.back();
 }
 
 size_t Tracer::open_count() const {
@@ -61,9 +66,9 @@ size_t Tracer::open_count() const {
   return open_.size();
 }
 
-void Tracer::push(uint64_t span) {
+void Tracer::push(Context frame) {
   std::lock_guard lock(mu_);
-  context_.push_back(span);
+  context_.push_back(std::move(frame));
 }
 
 void Tracer::pop() {

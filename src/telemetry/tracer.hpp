@@ -12,6 +12,11 @@
 //    span the default parent for any span opened underneath. The sim engine
 //    is single-threaded, so one stack suffices; the mutex covers bookkeeping
 //    so pool workers may open/close profiling spans too.
+//
+// Each context frame also names the flight-recorder subject (the flow run
+// id) its work belongs to, so a service that captures context() at submit
+// time parents its span and routes its async flight events (frame NACKs,
+// chunk retries landing seconds later) from the same frame.
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -31,7 +36,7 @@ class Tracer {
       : sink_(sink), trace_id_(trace_id) {}
 
   /// Open a span. Only identity is fixed here; interval, category, and attrs
-  /// arrive at close() so legacy recording sites keep their exact output.
+  /// arrive at close().
   uint64_t open(std::string component, std::string label,
                 uint64_t parent = kUseContext);
 
@@ -44,17 +49,28 @@ class Tracer {
   void close(uint64_t span, std::string category, sim::SimTime start,
              sim::SimTime end, util::Json attrs = {});
 
+  /// One context frame: the implicit parent span plus the flight-recorder
+  /// subject of the work running under it ("" = none).
+  struct Context {
+    uint64_t span = 0;
+    std::string subject;
+  };
+
   /// Current implicit parent (0 = root).
   uint64_t current() const;
+  /// Current context frame ({0, ""} when the stack is empty).
+  Context context() const;
 
   uint64_t trace_id() const { return trace_id_; }
   size_t open_count() const;
 
-  /// RAII context frame: spans opened while alive default-parent to `span`.
+  /// RAII context frame: spans opened while alive default-parent to `span`,
+  /// and context() reports `subject` as the flight subject.
   class Scope {
    public:
-    Scope(Tracer& tracer, uint64_t span) : tracer_(&tracer) {
-      tracer_->push(span);
+    Scope(Tracer& tracer, uint64_t span, std::string subject = {})
+        : tracer_(&tracer) {
+      tracer_->push({span, std::move(subject)});
     }
     ~Scope() { tracer_->pop(); }
     Scope(const Scope&) = delete;
@@ -66,7 +82,7 @@ class Tracer {
 
  private:
   friend class Scope;
-  void push(uint64_t span);
+  void push(Context frame);
   void pop();
 
   struct Pending {
@@ -81,7 +97,7 @@ class Tracer {
   uint64_t trace_id_;
   uint64_t next_span_ = 1;
   std::map<uint64_t, Pending> open_;
-  std::vector<uint64_t> context_;
+  std::vector<Context> context_;
 };
 
 }  // namespace pico::telemetry

@@ -50,14 +50,12 @@ int64_t TransferService::ChunkManifest::chunk_size(int64_t index) const {
 
 TransferService::TransferService(sim::Engine* engine, net::Network* network,
                                  auth::AuthService* auth,
-                                 TransferConfig config, uint64_t seed,
-                                 sim::Trace* trace)
+                                 TransferConfig config, uint64_t seed)
     : engine_(engine),
       network_(network),
       auth_(auth),
       config_(config),
-      rng_(seed),
-      trace_(trace) {}
+      rng_(seed) {}
 
 void TransferService::register_endpoint(const std::string& name,
                                         net::NodeId node,
@@ -122,13 +120,15 @@ util::Result<TaskId> TransferService::submit(const TransferRequest& request,
                              config_.per_flow_rate_cap_bps * config_.cap_jitter_frac));
   }
   if (telemetry_) {
-    // Context parent: the flow attempt span scoped around provider->start().
-    task.span = telemetry_->tracer.open("transfer", id);
+    // Context frame: the flow attempt span and run id scoped around
+    // provider->start().
+    telemetry::Tracer::Context ctx = telemetry_->tracer.context();
+    task.span = telemetry_->tracer.open("transfer", id, ctx.span);
     telemetry_->metrics
         .counter("transfer_tasks_total", "Transfer tasks by terminal state",
                  {{"state", "submitted"}})
         .inc();
-    task.flight_subject = telemetry_->flight.current();
+    task.flight_subject = std::move(ctx.subject);
     flight(task, util::LogLevel::Info, "transfer-open",
            util::Json::object({{"task", id},
                                {"bytes", total},
@@ -813,9 +813,6 @@ void TransferService::fail_task(const TaskId& id, const std::string& error) {
         .counter("transfer_tasks_total", "Transfer tasks by terminal state",
                  {{"state", "failed"}})
         .inc();
-  } else if (trace_) {
-    trace_->add(sim::Span{"transfer", "failed", id, it->second.info.submitted,
-                          engine_->now(), util::Json::object({{"error", error}})});
   }
   if (it->second.settled_cb) it->second.settled_cb(it->second.info);
 }
@@ -849,13 +846,6 @@ void TransferService::settle(const TaskId& id) {
         .histogram("transfer_task_bytes", "Logical bytes per settled task", {},
                    telemetry::FixedHistogram::byte_buckets())
         .observe(static_cast<double>(info.bytes_total));
-  } else if (trace_) {
-    trace_->add(sim::Span{
-        "transfer", "active", id, it->second.info.submitted, engine_->now(),
-        util::Json::object(
-            {{"bytes", it->second.info.bytes_total},
-             {"wire_bytes", it->second.info.wire_bytes},
-             {"files", it->second.info.files_total}})});
   }
   logger().debug("%s succeeded (%lld bytes)", id.c_str(),
                  static_cast<long long>(it->second.info.bytes_total));

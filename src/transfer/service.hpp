@@ -24,7 +24,6 @@
 #include "compress/codec.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "storage/store.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
@@ -143,7 +142,7 @@ class TransferService {
 
   TransferService(sim::Engine* engine, net::Network* network,
                   auth::AuthService* auth, TransferConfig config,
-                  uint64_t seed = 0x7A4Full, sim::Trace* trace = nullptr);
+                  uint64_t seed = 0x7A4Full);
 
   /// Register an endpoint: a network node with an attached store.
   void register_endpoint(const std::string& name, net::NodeId node,
@@ -308,7 +307,6 @@ class TransferService {
   auth::AuthService* auth_;
   TransferConfig config_;
   util::Rng rng_;
-  sim::Trace* trace_;
   telemetry::Telemetry* telemetry_ = nullptr;
   std::map<std::string, Endpoint> endpoints_;
   std::map<TaskId, ActiveTask> tasks_;

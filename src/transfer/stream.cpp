@@ -78,8 +78,9 @@ util::Result<SessionId> StreamService::submit(const StreamRequest& request,
   s.info.frames_total = s.source->frame_count();
   s.info.submitted = engine_->now();
   if (telemetry_) {
-    s.span = telemetry_->tracer.open("stream", id);
-    s.flight_subject = telemetry_->flight.current();
+    telemetry::Tracer::Context ctx = telemetry_->tracer.context();
+    s.span = telemetry_->tracer.open("stream", id, ctx.span);
+    s.flight_subject = std::move(ctx.subject);
     telemetry_->metrics
         .counter("stream_sessions_total", "Streaming sessions by state",
                  {{"state", "submitted"}})

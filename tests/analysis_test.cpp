@@ -108,6 +108,26 @@ TEST(Hyperspectral, EndToEndIdentifiesGeneratedComposition) {
   EXPECT_GE(j.at("elements").size(), 2u);
 }
 
+TEST(Hyperspectral, SharedPoolMatchesSequential) {
+  // The facility always runs the analysis kernels on the shared pool; the
+  // pooled reductions must publish the same summary as the sequential path.
+  instrument::HyperspectralConfig cfg;
+  cfg.height = 24;
+  cfg.width = 24;
+  cfg.channels = 192;
+  cfg.dose = 100;
+  cfg.background = {{"C", 0.8}, {"O", 0.2}};
+  cfg.particles = {{12, 12, 5, {{"Au", 0.9}, {"C", 0.1}}}};
+  auto sample = instrument::generate_hyperspectral(cfg);
+  auto pooled = analyze_hyperspectral(sample.cube, sample.energy_axis, {},
+                                      &util::shared_pool());
+  auto sequential = analyze_hyperspectral(sample.cube, sample.energy_axis, {},
+                                          nullptr);
+  EXPECT_EQ(pooled.to_json().dump(2), sequential.to_json().dump(2));
+  EXPECT_EQ(pooled.intensity.storage(), sequential.intensity.storage());
+  EXPECT_EQ(pooled.spectrum.storage(), sequential.spectrum.storage());
+}
+
 TEST(Metadata, ExtractsStandardBlocks) {
   instrument::HyperspectralConfig cfg;
   cfg.height = 8;

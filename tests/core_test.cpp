@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <map>
-#include <tuple>
 
 #include "core/campaign.hpp"
 #include "core/cost_model.hpp"
@@ -187,88 +185,6 @@ TEST(Flows, SpatiotemporalEndToEndWithRealPayload) {
     }
   }
   EXPECT_TRUE(found_mpk);
-}
-
-TEST(Flows, ParallelDataPlaneKnobChangesNothing) {
-  // The parallel_data_plane knob must change wall clock only: running the
-  // same real-payload flows with the knob on vs off publishes byte-identical
-  // records and byte-identical artifact files (the end-to-end form of the
-  // determinism contract in threadpool.hpp).
-  auto run_once = [](bool parallel) {
-    // Same tag on purpose: artifact paths inside the records match exactly.
-    FacilityConfig fc = test_config("pdp_knob");
-    fc.parallel_data_plane = parallel;
-    Facility facility(fc);
-
-    instrument::HyperspectralConfig hgen;
-    hgen.height = 24;
-    hgen.width = 24;
-    hgen.channels = 192;
-    hgen.dose = 100;
-    hgen.background = {{"C", 0.8}, {"O", 0.2}};
-    hgen.particles = {{12, 12, 5, {{"Au", 0.9}, {"C", 0.1}}}};
-    auto hyper = instrument::generate_hyperspectral(hgen);
-    emd::MicroscopeSettings scope;
-    auto hfile = instrument::to_emd(hyper, hgen, scope, "2023-04-07T15:00:00Z",
-                                    "gold on carbon film", "op@anl.gov");
-    EXPECT_TRUE(facility.stage_real_file("staging/h.emd", hfile.to_bytes()));
-
-    instrument::SpatiotemporalConfig sgen;
-    sgen.frames = 8;
-    sgen.height = 32;
-    sgen.width = 32;
-    sgen.particle_count = 3;
-    auto spatio = instrument::generate_spatiotemporal(sgen);
-    auto sfile = instrument::to_emd(spatio, sgen, scope, "2023-04-08T09:00:00Z",
-                                    "gold nanoparticles", "op@anl.gov");
-    EXPECT_TRUE(facility.stage_real_file("staging/s.emd", sfile.to_bytes()));
-
-    for (auto [flow, file, dest, prefix, subject] :
-         {std::tuple{hyperspectral_flow(facility), "staging/h.emd",
-                     "eagle/h.emd", "h", "exp-pdp-h"},
-          std::tuple{spatiotemporal_flow(facility), "staging/s.emd",
-                     "eagle/s.emd", "s", "exp-pdp-s"}}) {
-      FlowInput input;
-      input.file = file;
-      input.dest = dest;
-      input.artifact_prefix = prefix;
-      input.subject = subject;
-      if (prefix == std::string("s")) input.frames = 8;
-      auto run = facility.flows().start(flow, input.to_json(),
-                                        facility.user_token());
-      EXPECT_TRUE(run);
-      facility.engine().run();
-      EXPECT_EQ(facility.flows().info(run.value()).state,
-                flow::RunState::Succeeded);
-    }
-
-    // Snapshot records + artifact bytes before the next run overwrites them.
-    std::string records;
-    std::map<std::string, std::vector<uint8_t>> artifacts;
-    for (const char* subject : {"exp-pdp-h", "exp-pdp-s"}) {
-      auto doc = facility.index().get(subject);
-      EXPECT_TRUE(doc);
-      if (!doc) continue;
-      records += doc.value()->content.dump(2);
-      for (const auto& a : doc.value()->content.at("artifacts").as_array()) {
-        auto bytes = util::read_file(a.as_string());
-        EXPECT_TRUE(bytes) << a.as_string();
-        if (bytes) artifacts[a.as_string()] = std::move(bytes).value();
-      }
-    }
-    return std::pair{std::move(records), std::move(artifacts)};
-  };
-
-  auto on = run_once(true);
-  auto off = run_once(false);
-  EXPECT_EQ(on.first, off.first);
-  ASSERT_EQ(on.second.size(), off.second.size());
-  ASSERT_GE(on.second.size(), 4u);  // intensity + spectrum + counts + mpk
-  for (const auto& [path, bytes] : on.second) {
-    auto it = off.second.find(path);
-    ASSERT_NE(it, off.second.end()) << path;
-    EXPECT_EQ(bytes, it->second) << path << " differs with the knob off";
-  }
 }
 
 TEST(Flows, MissingSourceFileFailsFlow) {

@@ -258,6 +258,24 @@ TEST(Injector, UnknownLinkTargetRejectedAtInstall) {
   EXPECT_FALSE(facility.install_faults(chaos));
 }
 
+TEST(Injector, SiteKindsRejectedByAFacility) {
+  // Site-level chaos belongs to the federated driver, whose injector owns
+  // the site hook; a single facility refuses it instead of darkening itself.
+  for (FaultKind kind : {FaultKind::SiteOutage, FaultKind::SitePartition,
+                         FaultKind::SiteBrownout}) {
+    Facility facility(fault_test_config("inj_site"));
+    FaultSchedule chaos;
+    chaos.add(FaultEvent{kind, 10, 20, "", 0.5});
+    auto installed = facility.install_faults(chaos);
+    ASSERT_FALSE(installed) << fault_kind_name(kind);
+    EXPECT_NE(installed.error().message.find("site_hook"), std::string::npos);
+    EXPECT_EQ(facility.injector(), nullptr);
+    facility.engine().run_until(at(20));
+    EXPECT_TRUE(facility.transfer().available());
+    EXPECT_TRUE(facility.compute().available());
+  }
+}
+
 // ----------------------------------------------- chaos campaign recovery ----
 
 /// The acceptance scenario: hyperspectral campaign under a 5-minute transfer

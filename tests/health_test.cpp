@@ -98,18 +98,49 @@ TEST(FlightRecorder, FlushDumpsFiresSinkForStillOpenRings) {
 }
 
 TEST(FlightRecorder, ContextStackAttributesAsyncWork) {
+  // Flight subjects ride the tracer's context stack: each frame carries the
+  // parent span and the subject together, and leaving a nested frame
+  // restores both.
+  sim::Trace trace;
+  Tracer tracer(&trace);
   FlightRecorder rec;
-  EXPECT_EQ(rec.current(), "");
+  auto frame = [&] {
+    Tracer::Context ctx = tracer.context();
+    return std::pair{ctx.span, ctx.subject};
+  };
+  using Frame = std::pair<uint64_t, std::string>;
+  EXPECT_EQ(frame(), (Frame{0, ""}));
+  uint64_t campaign = tracer.open("campaign", "c");
+  uint64_t attempt1 = tracer.open("flow", "run-1/Transfer#0", campaign);
+  uint64_t attempt2 = tracer.open("flow", "run-2/Transfer#0", campaign);
   {
-    FlightRecorder::Scope outer(rec, "run-1");
-    EXPECT_EQ(rec.current(), "run-1");
+    Tracer::Scope root(tracer, campaign);
+    EXPECT_EQ(frame(), (Frame{campaign, ""}));
     {
-      FlightRecorder::Scope inner(rec, "run-2");
-      EXPECT_EQ(rec.current(), "run-2");
+      Tracer::Scope outer(tracer, attempt1, "run-1");
+      EXPECT_EQ(frame(), (Frame{attempt1, "run-1"}));
+      {
+        Tracer::Scope inner(tracer, attempt2, "run-2");
+        EXPECT_EQ(frame(), (Frame{attempt2, "run-2"}));
+        // A service task opened here parents to the attempt and records
+        // into that run's ring, long after the frame is gone.
+        Tracer::Context ctx = tracer.context();
+        uint64_t task = tracer.open("transfer", "task-1", ctx.span);
+        tracer.close(task, "active", t(0), t(1));
+        rec.record(ctx.subject, LogLevel::Info, "transfer", "chunk-retry",
+                   t(1));
+      }
+      EXPECT_EQ(frame(), (Frame{attempt1, "run-1"}));
     }
-    EXPECT_EQ(rec.current(), "run-1");
+    EXPECT_EQ(frame(), (Frame{campaign, ""}));
+    // The campaign frame names no subject: recording against it is a no-op.
+    rec.record(tracer.context().subject, LogLevel::Info, "chaos", "x", t(2));
   }
-  EXPECT_EQ(rec.current(), "");
+  EXPECT_EQ(frame(), (Frame{0, ""}));
+  ASSERT_NE(trace.find("transfer", "active", "task-1"), nullptr);
+  EXPECT_EQ(trace.find("transfer", "active", "task-1")->parent_id, attempt2);
+  EXPECT_EQ(rec.ring_count(), 1u);
+  EXPECT_EQ(rec.dump("run-2").at("events").size(), 1u);
 }
 
 TEST(FlightRecorder, EmptySubjectAndDisabledAreNoOps) {

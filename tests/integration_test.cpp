@@ -47,7 +47,6 @@ TEST(Integration, FirstFlowColdRestWarm) {
 
 TEST(Integration, TransferFaultsRecoveredByRetries) {
   FacilityConfig fc = fast_config("faults");
-  fc.transfer_fault_prob = 0.3;
   fc.transfer_max_retries = 10;
   Facility facility(fc);
   CampaignConfig cfg;
@@ -55,7 +54,15 @@ TEST(Integration, TransferFaultsRecoveredByRetries) {
   cfg.start_period_s = 45;
   cfg.duration_s = 600;
   cfg.file_bytes = 50'000'000;
+  // Each landed file arrives corrupt with p = 0.3 for the whole campaign;
+  // the landing CRC catches it and the transfer service resends the file.
+  cfg.chaos.add({fault::FaultKind::WireBitFlip, 0, 2 * cfg.duration_s, "",
+                 0.3});
   CampaignResult result = run_campaign(facility, cfg);
+  EXPECT_GT(facility.telemetry()
+                .metrics.counter("transfer_retries_total", "")
+                .value(),
+            0.0);
   EXPECT_EQ(result.failed, 0u);  // every fault absorbed by retry
   EXPECT_GE(result.in_window.size(), 5u);
 }
@@ -220,9 +227,8 @@ namespace pico::core {
 namespace {
 
 TEST(Integration, NodeFailuresAbsorbedByFlowRetries) {
-  FacilityConfig fc = fast_config("nodefail");
-  fc.compute_node_failure_prob = 0.25;
-  Facility facility(fc);
+  Facility facility(fast_config("nodefail"));
+  facility.compute().set_node_failure_prob(facility.polaris_endpoint(), 0.25);
   CampaignConfig cfg;
   cfg.use_case = UseCase::Hyperspectral;
   cfg.start_period_s = 45;
