@@ -71,18 +71,15 @@ util::Result<TaskId> ComputeService::submit(const EndpointId& endpoint,
   task.held = held;
   task.info.submitted = engine_->now();
   if (telemetry_) {
-    // Context frame: the flow attempt span and run id scoped around
-    // provider->start().
-    telemetry::Tracer::Context ctx = telemetry_->tracer.context();
-    task.span = telemetry_->tracer.open("compute", id, ctx.span);
-    task.flight_subject = std::move(ctx.subject);
-    telemetry_->flight.record(
-        task.flight_subject, util::LogLevel::Info, "compute",
-        "compute-submit", engine_->now(),
-        util::Json::object({{"task", id},
-                            {"endpoint", endpoint},
-                            {"function", function},
-                            {"held", held}}));
+    // Parented to the context frame: the flow attempt scoped around
+    // provider->start(), whose run the task's flight events belong to.
+    task.span = telemetry_->tracer.open("compute", id);
+    telemetry_->tracer.note(task.span, util::LogLevel::Info, "compute-submit",
+                            engine_->now(),
+                            util::Json::object({{"task", id},
+                                                {"endpoint", endpoint},
+                                                {"function", function},
+                                                {"held", held}}));
   }
   tasks_[id] = std::move(task);
 
@@ -265,8 +262,10 @@ void ComputeService::begin_execution(const EndpointId& eid, const TaskId& tid,
           logger().warn("%s: node %s failed mid-task", eid.c_str(),
                         job_for_log.c_str());
           if (telemetry_) {
-            telemetry_->tracer.event(t.span, "node-failure", t.info.completed,
-                                     util::Json::object({{"job", job_for_log}}));
+            telemetry_->tracer.event(
+                t.span, "node-failure", t.info.completed,
+                util::Json::object({{"task", tid}, {"job", job_for_log}}),
+                util::LogLevel::Warn);
             telemetry_->tracer.close(t.span, "node-failure", t.info.started,
                                      t.info.completed, {});
             t.span = 0;
@@ -279,10 +278,6 @@ void ComputeService::begin_execution(const EndpointId& eid, const TaskId& tid,
                          "Compute tasks by terminal state",
                          {{"state", "node_failure"}})
                 .inc();
-            telemetry_->flight.record(
-                t.flight_subject, util::LogLevel::Warn, "compute",
-                "node-failure", engine_->now(),
-                util::Json::object({{"task", tid}, {"job", job_for_log}}));
           }
           pump_endpoint(eid);
           if (t.settled_cb) t.settled_cb(t.info);

@@ -158,7 +158,9 @@ class ComputeService {
     util::Json args;
     TaskInfo info;
     std::optional<util::Json> output;
-    uint64_t span = 0;  ///< open telemetry span (0 = none)
+    /// Open telemetry span (0 = none); it inherits the owning flow run as
+    /// its flight subject.
+    uint64_t span = 0;
     /// Held-start (cut-through) state.
     bool held = false;
     bool released = false;
@@ -166,8 +168,6 @@ class ComputeService {
     sim::SimTime ready_at;
     hpcsim::JobId node_job;     ///< node claimed by a held task
     std::function<void(const TaskInfo&)> settled_cb;
-    /// Flight-recorder subject (the owning flow run) captured at submit().
-    std::string flight_subject;
   };
 
   void pump_endpoint(const EndpointId& eid);

@@ -87,13 +87,6 @@ void FlowService::set_telemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
 }
 
-void FlowService::flight_event(const RunId& id, util::LogLevel level,
-                               std::string name, util::Json attrs) {
-  if (!telemetry_) return;
-  telemetry_->flight.record(id, level, "flow", std::move(name),
-                            engine_->now(), std::move(attrs));
-}
-
 void FlowService::set_notification_loss_prob(double prob) {
   notification_loss_prob_ = std::max(0.0, std::min(1.0, prob));
 }
@@ -136,20 +129,13 @@ void FlowService::on_breaker_transition(const std::string& provider,
       .set(to == CircuitBreaker::State::Open       ? 1.0
            : to == CircuitBreaker::State::HalfOpen ? 0.5
                                                    : 0.0);
-  flight_event(active_run_, util::LogLevel::Warn, "breaker-" + to_name,
-               util::Json::object({
-                   {"provider", provider},
-                   {"from", CircuitBreaker::state_name(from)},
-               }));
-  if (active_step_span_ != 0) {
-    telemetry_->tracer.event(
-        active_step_span_, "breaker-" + to_name, at,
-        util::Json::object({
-            {"provider", provider},
-            {"from", CircuitBreaker::state_name(from)},
-            {"to", CircuitBreaker::state_name(to)},
-        }));
-  }
+  telemetry_->tracer.event(active_step_span_, "breaker-" + to_name, at,
+                           util::Json::object({
+                               {"provider", provider},
+                               {"from", CircuitBreaker::state_name(from)},
+                               {"to", CircuitBreaker::state_name(to)},
+                           }),
+                           util::LogLevel::Warn);
 }
 
 double FlowService::jittered(double base) {
@@ -270,28 +256,32 @@ util::Result<RunId> FlowService::start_internal(
   }
   if (telemetry_) {
     // Parent comes from the tracer context: the campaign scope when driven by
-    // a campaign, else root.
-    run->run_span = telemetry_->tracer.open("flow", id);
+    // a campaign, else root. The run id is the flight subject every span
+    // and service task opened beneath inherits.
+    run->run_span =
+        telemetry_->tracer.open("flow", id, telemetry::Tracer::kUseContext, id);
   }
   publish_status(*run);
   active_count_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry_) {
     telemetry_->flight.open(id, engine_->now());
-    flight_event(id, util::LogLevel::Info, "submitted",
-                 util::Json::object({
-                     {"flow", definition.name},
-                     {"label", run->info.label},
-                     {"steps", definition.steps.size()},
-                 }));
+    telemetry_->tracer.note(run->run_span, util::LogLevel::Info, "submitted",
+                            engine_->now(),
+                            util::Json::object({
+                                {"flow", definition.name},
+                                {"label", run->info.label},
+                                {"steps", definition.steps.size()},
+                            }));
     telemetry_->metrics
         .gauge("flow_active_runs", "Flow runs submitted but not yet settled")
         .add(1.0);
     if (resume_from) {
-      flight_event(id, util::LogLevel::Info, "resumed-from-checkpoint",
-                   util::Json::object({
-                       {"start_step", resume_from->start_step},
-                       {"steps_skipped", resume_from->start_step},
-                   }));
+      telemetry_->tracer.note(run->run_span, util::LogLevel::Info,
+                              "resumed-from-checkpoint", engine_->now(),
+                              util::Json::object({
+                                  {"start_step", resume_from->start_step},
+                                  {"steps_skipped", resume_from->start_step},
+                              }));
       telemetry_->metrics
           .counter("flow_runs_resumed_total",
                    "Runs launched from a peer facility's checkpoint")
@@ -387,16 +377,14 @@ void FlowService::dispatch_step(Run& run) {
         telemetry_->tracer.open("flow", run.id + "/" + step.name, run.run_span);
   }
   if (telemetry_) {
-    // Breaker-transition / flight context; only telemetry consumes it, so
-    // the per-dispatch string copy is gated out of the bare hot path.
-    active_step_span_ = run.step_span;
-    active_run_ = run.id;
-    flight_event(run.id, util::LogLevel::Info, "dispatch",
-                 util::Json::object({
-                     {"step", step.name},
-                     {"provider", step.provider},
-                     {"retry", run.retries_this_step},
-                 }));
+    active_step_span_ = run.step_span;  // breaker-transition context
+    telemetry_->tracer.note(run.run_span, util::LogLevel::Info, "dispatch",
+                            engine_->now(),
+                            util::Json::object({
+                                {"step", step.name},
+                                {"provider", step.provider},
+                                {"retry", run.retries_this_step},
+                            }));
   }
 
   // Circuit-breaker gate: while the provider's breaker is open, fail fast —
@@ -422,12 +410,8 @@ void FlowService::dispatch_step(Run& run) {
                                      {"provider", step.provider},
                                      {"wait_s", open_wait},
                                      {"retry", run.retries_this_step},
-                                 }));
-        flight_event(run.id, util::LogLevel::Warn, "breaker-deferred",
-                     util::Json::object({
-                         {"provider", step.provider},
-                         {"wait_s", open_wait},
-                     }));
+                                 }),
+                                 util::LogLevel::Warn);
       }
       logger().debug("%s: breaker open for %s, retry %d deferred %.1fs",
                      run.id.c_str(), step.provider.c_str(),
@@ -455,13 +439,12 @@ void FlowService::dispatch_step(Run& run) {
     run.attempt_started = engine_->now();
   }
   util::Result<ActionHandle> handle = [&] {
-    // Scope the attempt span and run id around the provider call: the
-    // service-side task (transfer/compute) parents to this attempt and
-    // routes its async events (frame NACKs, chunk retries) to this run's
-    // flight ring, both from the one tracer context frame.
+    // Scope the attempt span around the provider call: the service-side
+    // task (transfer/compute) parents to this attempt and inherits its
+    // flight subject, so its async events (frame NACKs, chunk retries)
+    // reach this run's ring.
     if (!telemetry_) return provider->start(resolved, run.token);
-    telemetry::Tracer::Scope scope(telemetry_->tracer, run.attempt_span,
-                                   run.id);
+    telemetry::Tracer::Scope scope(telemetry_->tracer, run.attempt_span);
     return provider->start(resolved, run.token);
   }();
   if (!handle) {
@@ -517,10 +500,9 @@ void FlowService::poll_step(Run& run, uint64_t epoch) {
   ActionProvider* provider = providers_[run.cur_pid];
   ++run.cur_polls;
   if (telemetry_) {
-    // Span/flight context and the poll counter matter only with telemetry
+    // Span context and the poll counter matter only with telemetry
     // attached; the bare hot path skips the step-metadata load entirely.
     active_step_span_ = run.step_span;
-    active_run_ = run.id;
     const ActionState& step = run.definition().steps[run.info.current_step];
     telemetry_->metrics
         .counter("flow_polls_total", "Completion polls issued by the flow "
@@ -551,8 +533,7 @@ void FlowService::poll_step(Run& run, uint64_t epoch) {
     }
     case ActionStatus::Failed: {
       const ActionState& step = run.definition().steps[run.info.current_step];
-      active_step_span_ = run.step_span;
-      active_run_ = run.id;  // breaker-transition context
+      active_step_span_ = run.step_span;  // breaker-transition context
       breaker_for(run.cur_pid).record_failure(engine_->now());
       step_attempt_failed(run, "step " + step.name + " failed: " + poll.error,
                           0);
@@ -575,9 +556,6 @@ void FlowService::timeout_step(Run& run, uint64_t epoch) {
   ++total_timeouts_;
   if (telemetry_) {
     active_step_span_ = run.step_span;
-    active_run_ = run.id;
-  }
-  if (telemetry_) {
     telemetry_->metrics
         .counter("flow_timeouts_total",
                  "Step attempts abandoned via per-step timeout, by provider",
@@ -585,15 +563,11 @@ void FlowService::timeout_step(Run& run, uint64_t epoch) {
         .inc();
     telemetry_->tracer.event(run.step_span, "timeout", engine_->now(),
                              util::Json::object({
+                                 {"step", step.name},
                                  {"provider", step.provider},
                                  {"timeout_s", step.timeout_s},
-                             }));
-    flight_event(run.id, util::LogLevel::Warn, "timeout",
-                 util::Json::object({
-                     {"step", step.name},
-                     {"provider", step.provider},
-                     {"timeout_s", step.timeout_s},
-                 }));
+                             }),
+                             util::LogLevel::Warn);
   }
   breaker_for(run.step_pids[run.info.current_step])
       .record_failure(engine_->now());
@@ -625,15 +599,12 @@ void FlowService::on_notification(Run& run, uint64_t epoch) {
                    "by provider",
                    provider_labels(step.provider))
           .inc();
-      if (run.step_span != 0) {
-        telemetry_->tracer.event(run.step_span, "notification-lost",
-                                 engine_->now(),
-                                 util::Json::object({
-                                     {"provider", step.provider},
-                                 }));
-        flight_event(run.id, util::LogLevel::Warn, "notification-lost",
-                     util::Json::object({{"provider", step.provider}}));
-      }
+      telemetry_->tracer.event(run.step_span, "notification-lost",
+                               engine_->now(),
+                               util::Json::object({
+                                   {"provider", step.provider},
+                               }),
+                               util::LogLevel::Warn);
     }
     logger().debug("%s: completion notification lost (step %s)",
                    run.id.c_str(), step.name.c_str());
@@ -684,7 +655,7 @@ void FlowService::on_stream_progress(Run& run, uint64_t epoch) {
   }
   util::Result<ActionHandle> handle = [&] {
     if (!telemetry_) return provider->start_held(resolved, run.token);
-    telemetry::Tracer::Scope scope(telemetry_->tracer, attempt_span, run.id);
+    telemetry::Tracer::Scope scope(telemetry_->tracer, attempt_span);
     return provider->start_held(resolved, run.token);
   }();
   if (!handle) {
@@ -820,10 +791,7 @@ void FlowService::step_attempt_failed(Run& run, const std::string& error,
   uint64_t epoch = ++run.epoch;  // abandon the failed attempt's events
   run.timeout_handle.cancel();
 
-  if (telemetry_) {
-    active_step_span_ = run.step_span;
-    active_run_ = run.id;
-  }
+  if (telemetry_) active_step_span_ = run.step_span;
   if (telemetry_ && run.attempt_span != 0) {
     telemetry_->tracer.close(run.attempt_span, "attempt", run.attempt_started,
                              engine_->now(),
@@ -848,15 +816,11 @@ void FlowService::step_attempt_failed(Run& run, const std::string& error,
         .inc();
     telemetry_->tracer.event(run.step_span, "retry", engine_->now(),
                              util::Json::object({
+                                 {"step", step.name},
                                  {"retry", run.retries_this_step},
                                  {"error", error},
-                             }));
-    flight_event(run.id, util::LogLevel::Warn, "retry",
-                 util::Json::object({
-                     {"step", step.name},
-                     {"retry", run.retries_this_step},
-                     {"error", error},
-                 }));
+                             }),
+                             util::LogLevel::Warn);
   }
   logger().debug("%s: step %s attempt failed (%s), retry %d", run.id.c_str(),
                  step.name.c_str(), error.c_str(), run.retries_this_step);
@@ -877,10 +841,7 @@ void FlowService::complete_step(Run& run, ActionPollResult poll) {
   run.flush_polls();
   ++run.epoch;  // invalidate any pending timeout for this attempt
   run.timeout_handle.cancel();
-  if (telemetry_) {
-    active_step_span_ = run.step_span;
-    active_run_ = run.id;
-  }
+  if (telemetry_) active_step_span_ = run.step_span;
   breaker_for(run.cur_pid).record_success(engine_->now());
   StepTiming& timing = run.timing.steps[run.info.current_step];
   timing.service_started = poll.service_started;
@@ -916,12 +877,13 @@ void FlowService::complete_step(Run& run, ActionPollResult poll) {
                    "Poll-discovery lag between service completion and the "
                    "orchestrator observing it")
         .observe(timing.discovery_lag_s());
-    flight_event(run.id, util::LogLevel::Info, "step-complete",
-                 util::Json::object({
-                     {"step", step.name},
-                     {"active_s", timing.active_s()},
-                     {"polls", timing.polls},
-                 }));
+    telemetry_->tracer.note(run.run_span, util::LogLevel::Info,
+                            "step-complete", engine_->now(),
+                            util::Json::object({
+                                {"step", step.name},
+                                {"active_s", timing.active_s()},
+                                {"polls", timing.polls},
+                            }));
   }
 
   run.info.current_step += 1;
@@ -975,6 +937,14 @@ void FlowService::fail_run(Run& run, const std::string& error) {
   // Close spans before the finished callback: campaign drivers rebuild the
   // run's timing from the span tree inside that callback.
   if (telemetry_) {
+    // Error-level note marks the ring dump-worthy; flight.close() below
+    // delivers the JSON dump to the recorder's sink.
+    telemetry_->tracer.note(run.run_span, util::LogLevel::Error, "run-failed",
+                            engine_->now(),
+                            util::Json::object({
+                                {"error", error},
+                                {"total_s", run.timing.total_s()},
+                            }));
     if (run.attempt_span != 0) {
       telemetry_->tracer.close(run.attempt_span, "attempt",
                                run.attempt_started, engine_->now(),
@@ -993,13 +963,6 @@ void FlowService::fail_run(Run& run, const std::string& error) {
     telemetry_->metrics
         .gauge("flow_active_runs", "Flow runs submitted but not yet settled")
         .add(-1.0);
-    // Error-level event marks the ring dump-worthy; close() delivers the
-    // JSON dump to the recorder's sink.
-    flight_event(run.id, util::LogLevel::Error, "run-failed",
-                 util::Json::object({
-                     {"error", error},
-                     {"total_s", run.timing.total_s()},
-                 }));
     telemetry_->flight.close(run.id, engine_->now());
   }
   logger().warn("%s failed: %s", run.id.c_str(), error.c_str());
@@ -1015,6 +978,22 @@ void FlowService::finish_run(Run& run) {
                  run.id.c_str(), run.timing.total_s(), run.timing.active_s(),
                  run.timing.overhead_s());
   if (telemetry_) {
+    const bool slow = slow_run_threshold_s_ > 0 &&
+                      run.timing.total_s() > slow_run_threshold_s_;
+    if (slow) {
+      telemetry_->tracer.note(run.run_span, util::LogLevel::Warn, "slo-slow",
+                              engine_->now(),
+                              util::Json::object({
+                                  {"total_s", run.timing.total_s()},
+                                  {"objective_s", slow_run_threshold_s_},
+                              }));
+    }
+    telemetry_->tracer.note(run.run_span, util::LogLevel::Info,
+                            "run-succeeded", engine_->now(),
+                            util::Json::object({
+                                {"total_s", run.timing.total_s()},
+                                {"overhead_s", run.timing.overhead_s()},
+                            }));
     close_run_span(run, "run");
     telemetry_->metrics
         .counter("flow_runs_total", "Flow runs settled, by terminal state",
@@ -1028,27 +1007,16 @@ void FlowService::finish_run(Run& run) {
         .histogram("flow_run_overhead_seconds",
                    "Total orchestration overhead per succeeded run")
         .observe(run.timing.overhead_s());
-    if (slow_run_threshold_s_ > 0 &&
-        run.timing.total_s() > slow_run_threshold_s_) {
+    if (slow) {
       telemetry_->metrics
           .counter("flow_runs_slow_total",
                    "Succeeded runs slower than the SLO completion-latency "
                    "objective")
           .inc();
-      flight_event(run.id, util::LogLevel::Warn, "slo-slow",
-                   util::Json::object({
-                       {"total_s", run.timing.total_s()},
-                       {"objective_s", slow_run_threshold_s_},
-                   }));
     }
     telemetry_->metrics
         .gauge("flow_active_runs", "Flow runs submitted but not yet settled")
         .add(-1.0);
-    flight_event(run.id, util::LogLevel::Info, "run-succeeded",
-                 util::Json::object({
-                     {"total_s", run.timing.total_s()},
-                     {"overhead_s", run.timing.overhead_s()},
-                 }));
     telemetry_->flight.close(run.id, engine_->now());
   }
   if (run.finished_cb) run.finished_cb(run.id, run.info);

@@ -491,9 +491,6 @@ class FlowService {
   void on_breaker_transition(const std::string& provider,
                              CircuitBreaker::State from,
                              CircuitBreaker::State to, sim::SimTime at);
-  /// Append a structured event to the run's flight ring (no-op untelemetered).
-  void flight_event(const RunId& id, util::LogLevel level, std::string name,
-                    util::Json attrs = {});
 
   /// Shared start/resume body: `resume_from` (when non-null) pre-seeds the
   /// completed steps and start offset before the first dispatch schedules.
@@ -513,11 +510,10 @@ class FlowService {
   uint64_t seed_;  ///< mixed into each run's deterministic backoff salt
   telemetry::Telemetry* telemetry_ = nullptr;
   /// Step span of the run currently being advanced on this stack; breaker
-  /// transition observers attach their events here. Valid because the sim
-  /// engine is single-threaded. active_run_ is the matching flight-ring
-  /// subject.
+  /// transition observers attach their events here (and, through its
+  /// subject, to the run's flight ring). Valid because the sim engine is
+  /// single-threaded.
   uint64_t active_step_span_ = 0;
-  RunId active_run_;
   double slow_run_threshold_s_ = 0;
   /// Providers interned to dense u16 ids: `providers_[pid]` is the adapter,
   /// `provider_names_[pid]` its name, `breakers_[pid]` its lazily-created

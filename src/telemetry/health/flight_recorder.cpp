@@ -1,5 +1,6 @@
 #include "telemetry/health/flight_recorder.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace pico::telemetry::health {
@@ -17,7 +18,12 @@ void FlightRecord::record(FlightEvent event) {
   event.seq = total_++;
   // Health-plane annotations (watchdog flags) are observations about the
   // flow, not progress by it — they must not reset the stall-quiet timer.
-  if (event.component != "health") last_event_ = event.at;
+  // An event may carry a stamp earlier than one already recorded (a breaker
+  // half-open lands at its cooldown expiry, observed later), so the timer
+  // never runs backwards.
+  if (event.component != "health") {
+    last_event_ = std::max(last_event_, event.at);
+  }
   events_.push_back(std::move(event));
   while (events_.size() > capacity_) events_.pop_front();
 }
@@ -58,8 +64,6 @@ void FlightRecorder::record(const std::string& subject, util::LogLevel level,
   if (!config_.enabled || subject.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
   FlightRecord& ring = ring_for(subject, at);
-  flight_logger().trace("%s %s/%s @%.3fs", subject.c_str(), component.c_str(),
-                        name.c_str(), at.seconds());
   if (level >= config_.dump_level) ring.request_dump(name);
   FlightEvent event;
   event.at = at;

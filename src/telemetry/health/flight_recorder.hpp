@@ -1,21 +1,20 @@
 #pragma once
 // Per-flow flight recorder: a bounded, lock-cheap ring of structured events
-// (state transitions, retries, breaker trips, frame NACKs/spills, scrub hits)
-// attached to every flow run. Services append through the shared Telemetry
-// bundle; when a run fails, falls back, or misses its deadline the ring is
-// dumped as JSON — the black box a postmortem replays instead of a Chrome
-// trace.
+// (retries, breaker trips, frame NACKs/spills, progress markers) attached to
+// every flow run. When a run fails, falls back, or misses its deadline the
+// ring is dumped as JSON — the black box a postmortem replays instead of a
+// Chrome trace.
 //
 // Subjects are free-form strings: flow run ids for orchestrated work,
-// "chaos" / "scrubber" for facility-level actors. Attribution across async
-// service boundaries rides telemetry::Tracer's context stack — the flow
-// engine scopes its attempt span and run id around provider->start(), and
-// the service captures Tracer::context().subject into the task/session it
-// creates, so frame NACKs landing seconds later still reach the right ring.
+// "campaign" / "chaos" / "scrubber" for facility-level actors. Services never
+// name a run: each telemetry::Tracer span owns its subject (inherited from
+// the flow run span down to the service task opened under an attempt), and
+// Tracer::event / Tracer::note append here through the span. record() stays
+// public for the actor rings that have no owning run, and for the health
+// monitor's watchdog notes.
 //
-// Built on util/log.hpp: every event carries a LogLevel, events at Warn or
-// above mark the ring dump-worthy, and recorded events mirror into the
-// "flight" logger at trace level so a developer can tail the stream live.
+// Built on util/log.hpp: every event carries a LogLevel, and events at
+// dump_level or above mark the ring dump-worthy.
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -37,7 +36,7 @@ struct FlightEvent {
   sim::SimTime at;
   util::LogLevel level = util::LogLevel::Info;
   std::string component;  ///< producing layer: "flow", "stream", "transfer"...
-  std::string name;       ///< e.g. "state", "retry", "frame-nack", "spill"
+  std::string name;       ///< e.g. "dispatch", "retry", "frame-nack", "spill"
   util::Json attrs;
 };
 
@@ -115,8 +114,7 @@ class FlightRecorder {
   void open(const std::string& subject, sim::SimTime at);
 
   /// Append an event. Auto-opens the ring. No-op when disabled or `subject`
-  /// is empty — services record against their captured context subject
-  /// unconditionally.
+  /// is empty.
   void record(const std::string& subject, util::LogLevel level,
               std::string component, std::string name, sim::SimTime at,
               util::Json attrs = {});

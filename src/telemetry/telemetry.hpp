@@ -1,6 +1,7 @@
 #pragma once
 // Facility telemetry bundle: one Tracer (causal span tree into the facility
-// trace) plus one MetricsRegistry (Prometheus-style instrument families).
+// trace, wired to the flight recorder it feeds) plus one MetricsRegistry
+// (Prometheus-style instrument families).
 // The Facility owns a Telemetry and hands pointers to every service; a null
 // Telemetry pointer disables instrumentation at the call site, so unit tests
 // that build services directly need no setup.
@@ -12,11 +13,11 @@
 namespace pico::telemetry {
 
 struct Telemetry {
-  explicit Telemetry(sim::Trace* sink) : tracer(sink) {}
+  explicit Telemetry(sim::Trace* sink) : tracer(sink, &flight) {}
 
+  health::FlightRecorder flight;
   Tracer tracer;
   MetricsRegistry metrics;
-  health::FlightRecorder flight;
 
   TelemetrySummary summarize(const sim::Trace& trace) const {
     return telemetry::summarize(trace, metrics);

@@ -2,29 +2,53 @@
 
 #include <utility>
 
+#include "telemetry/health/flight_recorder.hpp"
+
 namespace pico::telemetry {
 
 uint64_t Tracer::open(std::string component, std::string label,
-                      uint64_t parent) {
+                      uint64_t parent, std::string subject) {
   std::lock_guard lock(mu_);
   uint64_t id = next_span_++;
   Pending p;
   p.component = std::move(component);
   p.label = std::move(label);
   p.parent = parent == kUseContext
-                 ? (context_.empty() ? 0 : context_.back().span)
+                 ? (context_.empty() ? 0 : context_.back())
                  : parent;
+  if (subject.empty()) {
+    auto it = open_.find(p.parent);
+    if (it != open_.end()) subject = it->second.subject;
+  }
+  p.subject = std::move(subject);
   open_.emplace(id, std::move(p));
   return id;
 }
 
 void Tracer::event(uint64_t span, std::string name, sim::SimTime at,
-                   util::Json attrs) {
+                   util::Json attrs, util::LogLevel level) {
   std::lock_guard lock(mu_);
   auto it = open_.find(span);
   if (it == open_.end()) return;
-  it->second.events.push_back(
-      sim::SpanEvent{std::move(name), at, std::move(attrs)});
+  Pending& p = it->second;
+  if (flight_ && flight_->enabled() && !p.subject.empty()) {
+    p.events.push_back(sim::SpanEvent{name, at, attrs});
+    flight_->record(p.subject, level, p.component, std::move(name), at,
+                    std::move(attrs));
+    return;
+  }
+  p.events.push_back(sim::SpanEvent{std::move(name), at, std::move(attrs)});
+}
+
+void Tracer::note(uint64_t span, util::LogLevel level, std::string name,
+                  sim::SimTime at, util::Json attrs) {
+  if (!flight_) return;
+  std::lock_guard lock(mu_);
+  auto it = open_.find(span);
+  if (it == open_.end()) return;
+  const Pending& p = it->second;
+  flight_->record(p.subject, level, p.component, std::move(name), at,
+                  std::move(attrs));
 }
 
 void Tracer::close(uint64_t span, std::string category, sim::SimTime start,
@@ -53,12 +77,7 @@ void Tracer::close(uint64_t span, std::string category, sim::SimTime start,
 
 uint64_t Tracer::current() const {
   std::lock_guard lock(mu_);
-  return context_.empty() ? 0 : context_.back().span;
-}
-
-Tracer::Context Tracer::context() const {
-  std::lock_guard lock(mu_);
-  return context_.empty() ? Context{} : context_.back();
+  return context_.empty() ? 0 : context_.back();
 }
 
 size_t Tracer::open_count() const {
@@ -66,9 +85,9 @@ size_t Tracer::open_count() const {
   return open_.size();
 }
 
-void Tracer::push(Context frame) {
+void Tracer::push(uint64_t span) {
   std::lock_guard lock(mu_);
-  context_.push_back(std::move(frame));
+  context_.push_back(span);
 }
 
 void Tracer::pop() {

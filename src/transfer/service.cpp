@@ -120,19 +120,19 @@ util::Result<TaskId> TransferService::submit(const TransferRequest& request,
                              config_.per_flow_rate_cap_bps * config_.cap_jitter_frac));
   }
   if (telemetry_) {
-    // Context frame: the flow attempt span and run id scoped around
-    // provider->start().
-    telemetry::Tracer::Context ctx = telemetry_->tracer.context();
-    task.span = telemetry_->tracer.open("transfer", id, ctx.span);
+    // Parented to the context frame: the flow attempt scoped around
+    // provider->start(), whose run the task's flight events belong to.
+    task.span = telemetry_->tracer.open("transfer", id);
     telemetry_->metrics
         .counter("transfer_tasks_total", "Transfer tasks by terminal state",
                  {{"state", "submitted"}})
         .inc();
-    task.flight_subject = std::move(ctx.subject);
-    flight(task, util::LogLevel::Info, "transfer-open",
-           util::Json::object({{"task", id},
-                               {"bytes", total},
-                               {"files", task.info.files_total}}));
+    telemetry_->tracer.note(task.span, util::LogLevel::Info, "transfer-open",
+                            engine_->now(),
+                            util::Json::object({{"task", id},
+                                                {"bytes", total},
+                                                {"files",
+                                                 task.info.files_total}}));
   }
   tasks_[id] = std::move(task);
 
@@ -386,17 +386,8 @@ void TransferService::note_corruption(ActiveTask& task, const char* where,
       .inc();
   telemetry_->tracer.event(
       task.span, "corruption-detected", engine_->now(),
-      util::Json::object({{"where", where}, {"file", spec.src_path}}));
-  flight(task, util::LogLevel::Warn, "corruption-detected",
-         util::Json::object({{"where", where}, {"file", spec.src_path}}));
-}
-
-void TransferService::flight(const ActiveTask& task, util::LogLevel level,
-                             std::string name, util::Json attrs) {
-  if (!telemetry_ || task.flight_subject.empty()) return;
-  telemetry_->flight.record(task.flight_subject, level, "transfer",
-                            std::move(name), engine_->now(),
-                            std::move(attrs));
+      util::Json::object({{"where", where}, {"file", spec.src_path}}),
+      util::LogLevel::Warn);
 }
 
 void TransferService::begin_next_file(const TaskId& id) {
@@ -411,9 +402,10 @@ void TransferService::begin_next_file(const TaskId& id) {
           .counter("transfer_stalls_total",
                    "Tasks parked by a control-plane outage")
           .inc();
-      telemetry_->tracer.event(task.span, "stalled", engine_->now());
-      flight(task, util::LogLevel::Warn, "transfer-stalled",
-             util::Json::object({{"task", id}}));
+      telemetry_->tracer.event(task.span, "transfer-stalled",
+                               engine_->now(),
+                               util::Json::object({{"task", id}}),
+                               util::LogLevel::Warn);
     }
     logger().debug("%s stalled: service unavailable", id.c_str());
     return;
@@ -765,17 +757,14 @@ bool TransferService::retry_file(const TaskId& id, const FileSpec& spec,
                  "File re-transfers after a mid-flight fault or integrity "
                  "failure")
         .inc();
-    telemetry_->tracer.event(task.span, "fault-retry", engine_->now(),
+    telemetry_->tracer.event(task.span, "transfer-retry", engine_->now(),
                              util::Json::object({
                                  {"file", spec.src_path},
                                  {"attempt", task.attempts_this_file},
                                  {"backoff_s", backoff},
                                  {"reason", reason},
-                             }));
-    flight(task, util::LogLevel::Warn, "transfer-retry",
-           util::Json::object({{"file", spec.src_path},
-                               {"attempt", task.attempts_this_file},
-                               {"reason", reason}}));
+                             }),
+                             util::LogLevel::Warn);
   }
   logger().debug("%s: %s on %s (attempt %d), retrying in %.1fs", id.c_str(),
                  reason.c_str(), spec.src_path.c_str(),
@@ -803,12 +792,13 @@ void TransferService::fail_task(const TaskId& id, const std::string& error) {
   it->second.info.completed = engine_->now();
   logger().warn("%s failed: %s", id.c_str(), error.c_str());
   if (telemetry_) {
+    telemetry_->tracer.note(it->second.span, util::LogLevel::Error,
+                            "transfer-failed", engine_->now(),
+                            util::Json::object({{"task", id}, {"error", error}}));
     telemetry_->tracer.close(it->second.span, "failed",
                              it->second.info.submitted, engine_->now(),
                              util::Json::object({{"error", error}}));
     it->second.span = 0;
-    flight(it->second, util::LogLevel::Error, "transfer-failed",
-           util::Json::object({{"task", id}, {"error", error}}));
     telemetry_->metrics
         .counter("transfer_tasks_total", "Transfer tasks by terminal state",
                  {{"state", "failed"}})

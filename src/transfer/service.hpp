@@ -253,10 +253,10 @@ class TransferService {
     std::map<std::string, int64_t> resume_credited;
     std::function<void(int64_t)> progress_cb;
     std::function<void(const TaskInfo&)> settled_cb;
-    uint64_t span = 0;  ///< open telemetry span (0 = none)
-    /// Flight-recorder subject (the owning flow run) captured at submit(), so
-    /// retries and corruption hits land in that run's ring.
-    std::string flight_subject;
+    /// Open telemetry span (0 = none). It inherits the owning flow run as
+    /// its flight subject, so retries and corruption hits land in that
+    /// run's ring.
+    uint64_t span = 0;
   };
   /// How a delivered destination object was produced — enough to resubmit an
   /// equivalent single-file transfer when the scrubber quarantines the copy.
@@ -298,9 +298,6 @@ class TransferService {
                        sim::SimTime source_created);
   void note_corruption(ActiveTask& task, const char* where,
                        const FileSpec& spec);
-  /// Append to the owning run's flight ring (no-op without a subject).
-  void flight(const ActiveTask& task, util::LogLevel level, std::string name,
-              util::Json attrs = {});
 
   sim::Engine* engine_;
   net::Network* network_;

@@ -47,13 +47,6 @@ telemetry::Counter* StreamService::counter(const std::string& name,
   return &telemetry_->metrics.counter(name, help, labels);
 }
 
-void StreamService::flight(const Session& s, util::LogLevel level,
-                           std::string name, util::Json attrs) {
-  if (!telemetry_ || s.flight_subject.empty()) return;
-  telemetry_->flight.record(s.flight_subject, level, "stream", std::move(name),
-                            engine_->now(), std::move(attrs));
-}
-
 util::Result<SessionId> StreamService::submit(const StreamRequest& request,
                                               const auth::Token& token) {
   using R = util::Result<SessionId>;
@@ -78,19 +71,18 @@ util::Result<SessionId> StreamService::submit(const StreamRequest& request,
   s.info.frames_total = s.source->frame_count();
   s.info.submitted = engine_->now();
   if (telemetry_) {
-    telemetry::Tracer::Context ctx = telemetry_->tracer.context();
-    s.span = telemetry_->tracer.open("stream", id, ctx.span);
-    s.flight_subject = std::move(ctx.subject);
+    s.span = telemetry_->tracer.open("stream", id);
     telemetry_->metrics
         .counter("stream_sessions_total", "Streaming sessions by state",
                  {{"state", "submitted"}})
         .inc();
-    flight(s, util::LogLevel::Info, "stream-open",
-           util::Json::object({
-               {"session", id},
-               {"bytes", s.info.bytes_total},
-               {"frames", s.info.frames_total},
-           }));
+    telemetry_->tracer.note(s.span, util::LogLevel::Info, "stream-open",
+                            engine_->now(),
+                            util::Json::object({
+                                {"session", id},
+                                {"bytes", s.info.bytes_total},
+                                {"frames", s.info.frames_total},
+                            }));
   }
   sessions_[id] = std::move(s);
 
@@ -233,13 +225,11 @@ void StreamService::send_frame(const SessionId& id, const net::Frame& f,
     if (auto* c = counter("frames_retransmitted_total",
                           "Frames resent from the producer ring after a NACK"))
       c->inc();
-    if (telemetry_ && s.span) {
-      telemetry_->tracer.event(
-          s.span, "retransmit", engine_->now(),
-          util::Json::object({{"seq", f.seq}}));
+    if (telemetry_) {
+      telemetry_->tracer.event(s.span, "frame-retransmit", engine_->now(),
+                               util::Json::object({{"seq", f.seq}}),
+                               util::LogLevel::Warn);
     }
-    flight(s, util::LogLevel::Warn, "frame-retransmit",
-           util::Json::object({{"seq", f.seq}}));
   } else {
     ++s.info.frames_sent;
     if (auto* c = counter("stream_frames_sent_total",
@@ -270,8 +260,11 @@ void StreamService::arrival(const SessionId& id, const net::Frame& f) {
     if (auto* c = counter("frames_dropped_total",
                           "Frames lost on the direct streaming path"))
       c->inc();
-    flight(s, util::LogLevel::Warn, "frame-drop",
-           util::Json::object({{"seq", f.seq}}));
+    if (telemetry_) {
+      telemetry_->tracer.note(s.span, util::LogLevel::Warn, "frame-drop",
+                              engine_->now(),
+                              util::Json::object({{"seq", f.seq}}));
+    }
     logger().debug("%s: frame %lld dropped", id.c_str(),
                    static_cast<long long>(f.seq));
     return;  // the gap watchdog will NACK and retransmit
@@ -377,8 +370,11 @@ void StreamService::watchdog_tick(const SessionId& id) {
     return;
   }
   mark_degraded(s);
-  flight(s, util::LogLevel::Warn, "frame-nack",
-         util::Json::object({{"seq", cursor}, {"attempt", attempts}}));
+  if (telemetry_) {
+    telemetry_->tracer.note(
+        s.span, util::LogLevel::Warn, "frame-nack", engine_->now(),
+        util::Json::object({{"seq", cursor}, {"attempt", attempts}}));
+  }
   s.channel->take_credit(s.sub, cursor);  // rides the original credit
   send_frame(id, *f, /*retransmit=*/true);
 }
@@ -451,15 +447,13 @@ void StreamService::flush_spill(const SessionId& id) {
   if (auto* c = counter("stream_spilled_bytes_total",
                         "Bytes that reached the consumer via spill-to-store"))
     c->inc(static_cast<double>(bytes));
-  if (telemetry_ && s.span) {
+  if (telemetry_) {
     telemetry_->tracer.event(
         s.span, "spill", engine_->now(),
-        util::Json::object({{"first", first}, {"last", last},
-                            {"bytes", bytes}}));
+        util::Json::object(
+            {{"first", first}, {"last", last}, {"bytes", bytes}}),
+        util::LogLevel::Warn);
   }
-  flight(s, util::LogLevel::Warn, "spill",
-         util::Json::object(
-             {{"first", first}, {"last", last}, {"bytes", bytes}}));
   logger().info("%s: spilling frames [%lld, %lld] (%lld bytes) via %s",
                 id.c_str(), static_cast<long long>(first),
                 static_cast<long long>(last), static_cast<long long>(bytes),
@@ -512,11 +506,12 @@ void StreamService::set_consumer_stall(bool stalled) {
     if (config_.stall_fallback_s <= 0) return;
     for (auto& [id, s] : sessions_) {
       if (finished(s) || s.info.fallback) continue;
-      if (telemetry_ && s.span) {
-        telemetry_->tracer.event(s.span, "consumer-stall", engine_->now());
+      if (telemetry_) {
+        telemetry_->tracer.event(
+            s.span, "consumer-stall", engine_->now(),
+            util::Json::object({{"budget_s", config_.stall_fallback_s}}),
+            util::LogLevel::Warn);
       }
-      flight(s, util::LogLevel::Warn, "consumer-stall",
-             util::Json::object({{"budget_s", config_.stall_fallback_s}}));
       SessionId sid = id;
       engine_->schedule_after(
           sim::Duration::from_seconds(config_.stall_fallback_s),
@@ -567,14 +562,14 @@ void StreamService::trigger_fallback(const SessionId& id,
   if (auto* c = counter("stream_fallbacks_total",
                         "Sessions re-routed whole-flow to the store path"))
     c->inc();
-  if (telemetry_ && s.span) {
-    telemetry_->tracer.event(s.span, "fallback", engine_->now(),
-                             util::Json::object({{"reason", reason}}));
-  }
   // Error level marks the owning run's ring dump-worthy: a fallback is the
   // ladder's last rung and exactly what a postmortem wants to replay.
-  flight(s, util::LogLevel::Error, "stream-fallback",
-         util::Json::object({{"session", id}, {"reason", reason}}));
+  if (telemetry_) {
+    telemetry_->tracer.event(
+        s.span, "stream-fallback", engine_->now(),
+        util::Json::object({{"session", id}, {"reason", reason}}),
+        util::LogLevel::Error);
+  }
   logger().warn("%s: falling back to store-mediated transfer (%s)",
                 id.c_str(), reason.c_str());
 
@@ -652,6 +647,18 @@ void StreamService::finish(const SessionId& id, SessionState state) {
           .observe(
               sim::time_between(s.first_degraded, engine_->now()).seconds());
     }
+    telemetry_->tracer.note(s.span,
+                            state == SessionState::Succeeded
+                                ? util::LogLevel::Info
+                                : util::LogLevel::Error,
+                            "stream-settled", engine_->now(),
+                            util::Json::object({
+                                {"session", id},
+                                {"state", session_state_name(state)},
+                                {"mode", s.info.mode},
+                                {"retransmits", s.info.retransmits},
+                                {"spills", s.info.spills},
+                            }));
     if (s.span) {
       telemetry_->tracer.close(
           s.span, state == SessionState::Succeeded ? "active" : "failed",
@@ -663,17 +670,6 @@ void StreamService::finish(const SessionId& id, SessionState state) {
                               {"mode", s.info.mode}}));
       s.span = 0;
     }
-    flight(s,
-           state == SessionState::Succeeded ? util::LogLevel::Info
-                                            : util::LogLevel::Error,
-           "stream-settled",
-           util::Json::object({
-               {"session", id},
-               {"state", session_state_name(state)},
-               {"mode", s.info.mode},
-               {"retransmits", s.info.retransmits},
-               {"spills", s.info.spills},
-           }));
   }
   logger().debug("%s settled %s (mode %s, %lld retransmits, %lld spills)",
                  id.c_str(), session_state_name(state).c_str(),

@@ -183,11 +183,10 @@ class StreamService {
     sim::SimTime first_degraded;
     std::function<void(int64_t)> progress_cb;
     std::function<void(const SessionInfo&)> settled_cb;
+    /// Open telemetry span (0 = none). It inherits the owning flow run as
+    /// its flight subject, so frame NACKs/spills landing seconds later still
+    /// reach that run's ring.
     uint64_t span = 0;
-    /// Flight-recorder subject (the flow run id) captured at submit() from
-    /// the recorder's context stack, so frame NACKs/spills landing seconds
-    /// later still reach the owning run's ring.
-    std::string flight_subject;
   };
 
   void activate(const SessionId& id);
@@ -223,9 +222,6 @@ class StreamService {
   }
   telemetry::Counter* counter(const std::string& name, const std::string& help,
                               const telemetry::Labels& labels = {});
-  /// Append to the owning run's flight ring (no-op without a subject).
-  void flight(const Session& s, util::LogLevel level, std::string name,
-              util::Json attrs = {});
 
   sim::Engine* engine_;
   net::Network* network_;

@@ -5,6 +5,8 @@
 #include "auth/auth.hpp"
 #include "compute/service.hpp"
 #include "hpcsim/pbs.hpp"
+#include "telemetry/telemetry.hpp"
+#include "recorded_once.hpp"
 
 namespace pico::compute {
 namespace {
@@ -226,6 +228,34 @@ TEST_F(FailureFixture, NodeFailureFailsTaskAndDropsNode) {
   // The dead node left the warm pool and its allocation was returned.
   EXPECT_EQ(service->warm_node_count(endpoint), 0u);
   EXPECT_EQ(pbs->free_nodes(), 4);
+}
+
+// A node failure is one record on the task span and in the ring of the flow
+// run the task was submitted under.
+TEST_F(FailureFixture, NodeFailureRecordedOnceInSpanAndRing) {
+  setup(4, 2.0, 0.0, 1000.0);
+  EndpointConfig ecfg;
+  ecfg.name = "flaky";
+  ecfg.scheduler = pbs.get();
+  ecfg.node_failure_prob = 1.0;
+  ecfg.env_warmup_s = 0;
+  ecfg.env_warmup_jitter_s = 0;
+  ecfg.dispatch_latency_s = 0.1;
+  endpoint = service->register_endpoint(ecfg);
+  sim::Trace trace;
+  telemetry::Telemetry tel(&trace);
+  service->set_telemetry(&tel);
+  FunctionId fn = register_echo(3.0);
+  uint64_t run = tel.tracer.open("flow", "run-1", 0, "run-1");
+  util::Result<TaskId> task = [&] {
+    telemetry::Tracer::Scope scope(tel.tracer, run);
+    return service->submit(endpoint, fn, Json(), token);
+  }();
+  ASSERT_TRUE(task);
+  engine.run_until(sim::SimTime::from_seconds(60));
+  tel.tracer.close(run, "run", engine.now(), engine.now());
+  EXPECT_EQ(service->status(task.value()).state, TaskState::Failed);
+  test::expect_recorded_once(trace, tel.flight, "run-1", "node-failure");
 }
 
 TEST_F(FailureFixture, IntermittentFailuresEventuallyComplete) {

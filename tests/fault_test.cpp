@@ -4,6 +4,7 @@
 // mid-campaign token expiry, with campaign-level recovery turned on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/campaign.hpp"
@@ -317,6 +318,17 @@ CampaignResult run_acceptance(const std::string& tag) {
     }
   }
   EXPECT_EQ(facility.index().size(), successes);
+
+  // No leaks once the campaign drains: every span closed, and only the
+  // watchdog-exempt actor rings (chaos, scrubber, campaign) remain open.
+  EXPECT_GT(facility.telemetry().flight.ring_count(), successes);
+  EXPECT_EQ(facility.telemetry().tracer.open_count(), 0u);
+  const auto& exempt = facility.health().config().watchdog_exempt;
+  for (const auto& open : facility.telemetry().flight.open_flows()) {
+    EXPECT_NE(std::find(exempt.begin(), exempt.end(), open.subject),
+              exempt.end())
+        << "flight ring left open: " << open.subject;
+  }
   return result;
 }
 

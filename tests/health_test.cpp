@@ -1,7 +1,8 @@
 // Health-plane tests: flight-recorder ring semantics (bounded eviction, dump
-// marking, context-stack attribution, sink delivery), SLO multi-window burn
-// math and episode edge-triggering, EWMA/z-score anomaly detection, and the
-// HealthMonitor's watchdogs + provider/link scoring driven by a sim engine.
+// marking, span-owned subject attribution, sink delivery), SLO multi-window
+// burn math and episode edge-triggering, EWMA/z-score anomaly detection, and
+// the HealthMonitor's watchdogs + provider/link scoring driven by a sim
+// engine.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -98,49 +99,59 @@ TEST(FlightRecorder, FlushDumpsFiresSinkForStillOpenRings) {
 }
 
 TEST(FlightRecorder, ContextStackAttributesAsyncWork) {
-  // Flight subjects ride the tracer's context stack: each frame carries the
-  // parent span and the subject together, and leaving a nested frame
-  // restores both.
+  // Flight subjects are owned by spans: the run span names its run, and any
+  // span opened beneath it inherits that subject, whether its parent came
+  // explicitly or from the tracer's context stack.
   sim::Trace trace;
-  Tracer tracer(&trace);
   FlightRecorder rec;
-  auto frame = [&] {
-    Tracer::Context ctx = tracer.context();
-    return std::pair{ctx.span, ctx.subject};
-  };
-  using Frame = std::pair<uint64_t, std::string>;
-  EXPECT_EQ(frame(), (Frame{0, ""}));
-  uint64_t campaign = tracer.open("campaign", "c");
-  uint64_t attempt1 = tracer.open("flow", "run-1/Transfer#0", campaign);
-  uint64_t attempt2 = tracer.open("flow", "run-2/Transfer#0", campaign);
+  Tracer tracer(&trace, &rec);
+  uint64_t campaign = tracer.open("campaign", "c", /*parent=*/0);
+  uint64_t run1 = tracer.open("flow", "run-1", campaign, "run-1");
+  uint64_t run2 = tracer.open("flow", "run-2", campaign, "run-2");
+  // Explicit parents: step and attempt inherit the run's subject.
+  uint64_t step2 = tracer.open("flow", "run-2/Transfer", run2);
+  uint64_t attempt2 = tracer.open("flow", "run-2/Transfer#0", step2);
+  uint64_t attempt1 = tracer.open("flow", "run-1/Transfer#0", run1);
+  uint64_t task = 0;
   {
     Tracer::Scope root(tracer, campaign);
-    EXPECT_EQ(frame(), (Frame{campaign, ""}));
+    Tracer::Scope outer(tracer, attempt1);
     {
-      Tracer::Scope outer(tracer, attempt1, "run-1");
-      EXPECT_EQ(frame(), (Frame{attempt1, "run-1"}));
-      {
-        Tracer::Scope inner(tracer, attempt2, "run-2");
-        EXPECT_EQ(frame(), (Frame{attempt2, "run-2"}));
-        // A service task opened here parents to the attempt and records
-        // into that run's ring, long after the frame is gone.
-        Tracer::Context ctx = tracer.context();
-        uint64_t task = tracer.open("transfer", "task-1", ctx.span);
-        tracer.close(task, "active", t(0), t(1));
-        rec.record(ctx.subject, LogLevel::Info, "transfer", "chunk-retry",
-                   t(1));
-      }
-      EXPECT_EQ(frame(), (Frame{attempt1, "run-1"}));
+      Tracer::Scope inner(tracer, attempt2);
+      // A service opens its task under the current frame, naming no run.
+      task = tracer.open("transfer", "task-1");
     }
-    EXPECT_EQ(frame(), (Frame{campaign, ""}));
-    // The campaign frame names no subject: recording against it is a no-op.
-    rec.record(tracer.context().subject, LogLevel::Info, "chaos", "x", t(2));
+    EXPECT_EQ(tracer.current(), attempt1);
   }
-  EXPECT_EQ(frame(), (Frame{0, ""}));
-  ASSERT_NE(trace.find("transfer", "active", "task-1"), nullptr);
-  EXPECT_EQ(trace.find("transfer", "active", "task-1")->parent_id, attempt2);
+  EXPECT_EQ(tracer.current(), 0u);
+  // The attempt settles first; the task's retry lands later and still
+  // reaches run-2's ring, long after the frame is gone.
+  tracer.close(attempt2, "attempt", t(0), t(1));
+  tracer.event(task, "transfer-retry", t(2), Json::object({{"attempt", 1}}),
+               LogLevel::Warn);
+  tracer.event(step2, "retry", t(3), Json::object({{"retry", 1}}));
+  // The campaign span names no subject: its events reach no ring.
+  tracer.event(campaign, "fault-begin", t(4), Json::object({{"kind", "x"}}));
+  tracer.note(campaign, LogLevel::Error, "x", t(4));
+  for (uint64_t span : {task, step2, attempt1, run1, run2, campaign}) {
+    tracer.close(span, "done", t(0), t(5));
+  }
+  EXPECT_EQ(tracer.open_count(), 0u);
+
+  ASSERT_NE(trace.find("transfer", "done", "task-1"), nullptr);
+  EXPECT_EQ(trace.find("transfer", "done", "task-1")->parent_id, attempt2);
+  EXPECT_EQ(trace.find("transfer", "done", "task-1")->events.size(), 1u);
+  EXPECT_EQ(trace.find("campaign", "done", "c")->events.size(), 1u);
   EXPECT_EQ(rec.ring_count(), 1u);
-  EXPECT_EQ(rec.dump("run-2").at("events").size(), 1u);
+  EXPECT_EQ(rec.dump_worthy_count(), 0u);
+  Json dump = rec.dump("run-2");
+  const auto& ring = dump.at("events").as_array();
+  ASSERT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring[0].at("component").as_string(), "transfer");
+  EXPECT_EQ(ring[0].at("name").as_string(), "transfer-retry");
+  EXPECT_EQ(ring[0].at("level").as_string(), "WARN");
+  EXPECT_EQ(ring[1].at("component").as_string(), "flow");
+  EXPECT_EQ(ring[1].at("name").as_string(), "retry");
 }
 
 TEST(FlightRecorder, EmptySubjectAndDisabledAreNoOps) {

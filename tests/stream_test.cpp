@@ -10,8 +10,10 @@
 #include "net/frame_channel.hpp"
 #include "net/network.hpp"
 #include "storage/store.hpp"
+#include "telemetry/telemetry.hpp"
 #include "transfer/stream.hpp"
 #include "util/crc64.hpp"
+#include "recorded_once.hpp"
 
 namespace pico::net {
 namespace {
@@ -369,6 +371,42 @@ TEST_F(StreamFixture, LiveDetectorOutrunningConsumerForcesFullSpill) {
   auto obj = node_mem.get("node/live.emd");
   ASSERT_TRUE(obj);
   EXPECT_EQ(obj.value()->size, 10'000'000);
+}
+
+// With a one-segment spill budget the overrun spills once and then falls
+// back; each is one record on the session span and in the run's ring.
+TEST_F(StreamFixture, SpillAndFallbackRecordedOnceInSpanAndRing) {
+  StreamConfig cfg = paced_config();
+  cfg.detector_rate_bps = 800e6;
+  cfg.channel = [] {
+    net::FrameChannelConfig ch;
+    ch.ring_capacity = 2;
+    ch.credit_window = 16;
+    ch.reorder_window = 16;
+    return ch;
+  }();
+  cfg.max_spill_segments = 1;
+  cfg.spill_flush_frames = 2;  // the overrun needs several segments
+  setup(cfg, /*src_bps=*/8e6);
+  sim::Trace trace;
+  telemetry::Telemetry tel(&trace);
+  stream->set_telemetry(&tel);
+  transfer->set_telemetry(&tel);
+  ASSERT_TRUE(
+      src_store.put_virtual("live.emd", 10'000'000, 0x11FE, engine.now()));
+  uint64_t run = tel.tracer.open("flow", "run-1", 0, "run-1");
+  util::Result<SessionId> session = [&] {
+    telemetry::Tracer::Scope scope(tel.tracer, run);
+    return stream->submit({"live.emd", "node/live.emd"}, token);
+  }();
+  ASSERT_TRUE(session);
+  engine.run();
+  tel.tracer.close(run, "run", engine.now(), engine.now());
+  SessionInfo info = stream->status(session.value());
+  EXPECT_EQ(info.spills, 1);
+  EXPECT_TRUE(info.fallback);
+  test::expect_recorded_once(trace, tel.flight, "run-1", "spill");
+  test::expect_recorded_once(trace, tel.flight, "run-1", "stream-fallback");
 }
 
 TEST_F(StreamFixture, StallOutlastingBudgetFallsBackToStorePath) {

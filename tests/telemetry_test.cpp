@@ -2,8 +2,10 @@
 // exposition, causal tracer parenting/events, the trace's find/children_of
 // indexes against a brute-force scan, Chrome trace_event export,
 // circuit-breaker state transitions as timestamped span events under injected
-// faults, and the guarantee the refactor rests on — campaign reports rebuilt
-// from the span tree are byte-identical to the flow service's bookkeeping.
+// faults, each flow event being one record on its span and in its run's
+// flight ring, and the guarantee the refactor rests on — campaign reports
+// rebuilt from the span tree are byte-identical to the flow service's
+// bookkeeping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +23,7 @@
 #include "telemetry/telemetry.hpp"
 #include "telemetry/tracer.hpp"
 #include "util/rng.hpp"
+#include "recorded_once.hpp"
 
 namespace pico::telemetry {
 namespace {
@@ -601,6 +604,91 @@ TEST(BreakerTelemetry, TransitionsBecomeSpanEventsUnderInjectedFaults) {
   EXPECT_EQ(count("open"), 1);
   EXPECT_EQ(count("half_open"), 1);
   EXPECT_EQ(count("closed"), 1);
+}
+
+// ---------------------------------------- one record, span and ring ----
+
+/// Provider whose first action hangs (never completes); later attempts
+/// succeed on their first poll.
+class HangOnceProvider final : public flow::ActionProvider {
+ public:
+  explicit HangOnceProvider(sim::Engine* engine) : engine_(engine) {}
+  std::string name() const override { return "fake"; }
+
+  util::Result<flow::ActionHandle> start(const Json&,
+                                         const auth::Token&) override {
+    started_ = engine_->now();
+    return util::Result<flow::ActionHandle>::ok(
+        "act-" + std::to_string(starts_++));
+  }
+
+  flow::ActionPollResult poll(const flow::ActionHandle& handle) override {
+    flow::ActionPollResult out;
+    out.status = handle == "act-0" ? flow::ActionStatus::Active
+                                   : flow::ActionStatus::Succeeded;
+    out.service_started = started_;
+    out.service_completed = engine_->now();
+    return out;
+  }
+
+ private:
+  sim::Engine* engine_;
+  int starts_ = 0;
+  sim::SimTime started_;
+};
+
+/// Runs one single-step flow against `provider` with telemetry attached and
+/// returns its run id.
+std::string run_one_step(sim::Engine& engine, Telemetry& telemetry,
+                         flow::FlowServiceConfig cfg,
+                         flow::ActionProvider& provider, double timeout_s) {
+  auth::AuthService auth;
+  cfg.latency_jitter_frac = 0.0;
+  flow::FlowService service(&engine, &auth, cfg, /*seed=*/3);
+  service.set_telemetry(&telemetry);
+  service.register_provider(&provider);
+  flow::ActionState step;
+  step.name = "A";
+  step.provider = "fake";
+  step.max_retries = 5;
+  step.timeout_s = timeout_s;
+  step.params = Json::object();
+  auto run = service.start(flow::FlowDefinition{"f", {step}}, Json(),
+                           auth.issue("user@anl.gov", {"flows"}));
+  if (!run) {
+    ADD_FAILURE() << run.error().message;
+    return {};
+  }
+  engine.run();
+  EXPECT_EQ(service.info(run.value()).state, flow::RunState::Succeeded);
+  return run.value();
+}
+
+TEST(RecordedOnce, FlowTimeoutAndRetry) {
+  sim::Engine engine;
+  sim::Trace trace;
+  Telemetry telemetry(&trace);
+  HangOnceProvider provider(&engine);
+  std::string run = run_one_step(engine, telemetry, {}, provider,
+                                 /*timeout_s=*/30);
+  test::expect_recorded_once(trace, telemetry.flight, run, "timeout");
+  test::expect_recorded_once(trace, telemetry.flight, run, "retry");
+}
+
+TEST(RecordedOnce, FlowBreakerOpenHalfOpenAndDeferral) {
+  sim::Engine engine;
+  sim::Trace trace;
+  Telemetry telemetry(&trace);
+  flow::FlowServiceConfig cfg;
+  cfg.breaker.failure_threshold = 2;
+  cfg.breaker.cooldown_s = 20;
+  RefusingProvider provider(&engine, /*refusals=*/2);
+  std::string run = run_one_step(engine, telemetry, cfg, provider,
+                                 /*timeout_s=*/0);
+  for (const char* name :
+       {"breaker-open", "breaker-half_open", "breaker-deferred"}) {
+    test::expect_recorded_once(trace, telemetry.flight, run, name);
+  }
 }
 
 // -------------------------------------- report-from-spans equivalence ----

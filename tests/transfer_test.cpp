@@ -8,6 +8,7 @@
 #include "telemetry/telemetry.hpp"
 #include "transfer/service.hpp"
 #include "util/crc64.hpp"
+#include "recorded_once.hpp"
 
 namespace pico::transfer {
 namespace {
@@ -541,6 +542,35 @@ TEST_F(TransferFixture, WireCorruptionDetectedAndHealedPerChunk) {
   EXPECT_GT(info.wire_bytes, 20'000'000);
   EXPECT_LT(info.wire_bytes, 40'000'000);
   EXPECT_TRUE(dst_store.exists("w.emd"));
+}
+
+// A corrupted landing and the retry it causes are each one record, on the
+// task span and in the ring of the flow run the task was opened under.
+TEST_F(TransferFixture, CorruptionAndRetryRecordedOnceInSpanAndRing) {
+  auto cfg = quick_config();
+  cfg.retry_backoff_s = 5.0;  // the retry lands at >= 3.7 s
+  setup_service(cfg);
+  sim::Trace trace;
+  telemetry::Telemetry tel(&trace);
+  service->set_telemetry(&tel);
+  ASSERT_TRUE(src_store.put_virtual("c.emd", 1'000'000, 3, engine.now()));
+  // Only the first landing (~1.2 s) is damaged.
+  service->set_wire_corruption_prob(1.0);
+  engine.schedule_at(sim::SimTime::from_seconds(2.0),
+                     [&] { service->set_wire_corruption_prob(0.0); });
+  uint64_t run = tel.tracer.open("flow", "run-1", 0, "run-1");
+  util::Result<TaskId> task = [&] {
+    telemetry::Tracer::Scope scope(tel.tracer, run);
+    return service->submit(single_file("c.emd", "c.emd"), token);
+  }();
+  ASSERT_TRUE(task);
+  engine.run();
+  tel.tracer.close(run, "run", engine.now(), engine.now());
+  TaskInfo info = service->status(task.value());
+  EXPECT_EQ(info.state, TaskState::Succeeded) << info.error;
+  EXPECT_EQ(info.corruption_detected, 1);
+  test::expect_recorded_once(trace, tel.flight, "run-1", "corruption-detected");
+  test::expect_recorded_once(trace, tel.flight, "run-1", "transfer-retry");
 }
 
 TEST_F(TransferFixture, PersistentWireCorruptionFailsTask) {

@@ -16,6 +16,12 @@ Validates, with no third-party dependencies:
   rounding slack), and (optionally) the span tree reaches ``--require-depth``
   levels — e.g. 4 proves campaign -> run -> step -> provider-attempt nesting.
 
+* Flight-recorder dumps (``--flight``), the ``flight-dumps.json`` array a
+  chaos campaign writes: every dump names its ``subject`` and
+  ``dump_reason``, ``events_total`` covers the surviving ``events``, event
+  ``seq`` numbers strictly increase, and every event has a known ``level``
+  and a non-empty ``component`` and ``name``.
+
 * Bench documents (``--bench BASELINE [FRESH]``), the ``pico.bench.v2``
   schema every gated bench under ``bench/`` writes through
   ``bench/harness.hpp``::
@@ -37,14 +43,15 @@ Validates, with no third-party dependencies:
   loosened, dropped, renamed or moved to fewer runs.
 
 JSON inputs are loaded through one guard: a missing file, truncated JSON, or
-a non-object top level is a one-line actionable failure (regenerate with the
-matching bench binary), never a raw traceback.
+a top level of the wrong type is a one-line actionable failure (regenerate
+with the matching binary), never a raw traceback.
 
 Exit status is non-zero if any input fails, so CI can gate on it:
 
     python3 tools/check_telemetry.py --prom BENCH_dataplane.prom
     python3 tools/check_telemetry.py --trace chaos-output/trace.json \
         --require-depth 4 --prom chaos-output/metrics.prom --min-families 12
+    python3 tools/check_telemetry.py --flight chaos-output/flight-dumps.json
     python3 tools/check_telemetry.py \
         --bench BENCH_overhead.json bench-overhead-smoke.json
 """
@@ -99,28 +106,28 @@ def fail(path, message):
     return False
 
 
-def load_bench_doc(path):
-    """Load a JSON baseline and require a top-level object.
+def load_json(path, top=dict):
+    """Load a JSON input and require its top level to be a ``top``.
 
     A missing file, truncated/invalid JSON, or a document whose top level is
-    not an object (e.g. a partial write that parses as ``null``) each used to
-    escape the checkers as a raw traceback; all three are now a one-line
-    actionable failure. Returns the parsed dict, or None after reporting.
+    the wrong type (e.g. a partial write that parses as ``null``) each used
+    to escape the checkers as a raw traceback; all three are now a one-line
+    actionable failure. Returns the parsed document, or None after reporting.
     """
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as e:
-        fail(path, f"unreadable: {e} — regenerate the baseline with the "
-                   f"matching bench binary under build/bench/")
+        fail(path, f"unreadable: {e} — regenerate it with the binary that "
+                   f"writes it (build/bench/ or build/examples/)")
         return None
     except json.JSONDecodeError as e:
-        fail(path, f"invalid or truncated JSON ({e}) — regenerate the "
-                   f"baseline with the matching bench binary")
+        fail(path, f"invalid or truncated JSON ({e}) — regenerate it with "
+                   f"the binary that writes it")
         return None
-    if not isinstance(doc, dict):
-        fail(path, f"top-level JSON is {type(doc).__name__}, expected an "
-                   f"object — the baseline is corrupt; regenerate it")
+    if not isinstance(doc, top):
+        fail(path, f"top-level JSON is {type(doc).__name__}, expected "
+                   f"{top.__name__} — the file is corrupt; regenerate it")
         return None
     return doc
 
@@ -212,7 +219,7 @@ def check_prom(path, min_families):
 
 
 def check_trace(path, require_depth):
-    doc = load_bench_doc(path)
+    doc = load_json(path)
     if doc is None:
         return False
     if not isinstance(doc.get("traceEvents"), list):
@@ -271,6 +278,51 @@ def check_trace(path, require_depth):
     return True
 
 
+LOG_LEVELS = {"TRACE", "DEBUG", "INFO", "WARN", "ERROR"}
+
+
+def check_flight(path):
+    """Validate a flight-dumps.json array (FlightRecord::to_json rows)."""
+    dumps = load_json(path, top=list)
+    if dumps is None:
+        return False
+    events_seen = 0
+    for i, dump in enumerate(dumps):
+        if not isinstance(dump, dict):
+            return fail(path, f"dump {i}: not an object")
+        where = f"dump {i} ({dump.get('subject')!r})"
+        for key in ("subject", "dump_reason"):
+            if not isinstance(dump.get(key), str) or not dump[key]:
+                return fail(path, f"{where}: {key} must be a non-empty "
+                                  f"string")
+        events = dump.get("events")
+        if not isinstance(events, list):
+            return fail(path, f"{where}: missing events array")
+        total = dump.get("events_total")
+        if not isinstance(total, int) or total < len(events):
+            return fail(path, f"{where}: events_total {total!r} < "
+                              f"{len(events)} surviving events")
+        last_seq = -1
+        for j, event in enumerate(events):
+            if not isinstance(event, dict):
+                return fail(path, f"{where} event {j}: not an object")
+            seq = event.get("seq")
+            if not isinstance(seq, int) or seq <= last_seq:
+                return fail(path, f"{where} event {j}: seq {seq!r} does not "
+                                  f"increase past {last_seq}")
+            last_seq = seq
+            if event.get("level") not in LOG_LEVELS:
+                return fail(path, f"{where} event {j}: unknown level "
+                                  f"{event.get('level')!r}")
+            for key in ("component", "name"):
+                if not isinstance(event.get(key), str) or not event[key]:
+                    return fail(path, f"{where} event {j}: {key} must be a "
+                                      f"non-empty string")
+        events_seen += len(events)
+    print(f"{path}: ok ({len(dumps)} dumps, {events_seen} events)")
+    return True
+
+
 BENCH_SCHEMA = "pico.bench.v2"
 
 OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
@@ -306,7 +358,7 @@ def check_bench(path, want_mode=None):
     """Validate one pico.bench.v2 document and re-evaluate its gates.
 
     Returns ``(bench, gate_set)`` on success, None after reporting."""
-    doc = load_bench_doc(path)
+    doc = load_json(path)
     if doc is None:
         return None
     if doc.get("schema") != BENCH_SCHEMA:
@@ -415,14 +467,18 @@ def main():
                              "(repeatable)")
     parser.add_argument("--require-depth", type=int, default=1,
                         help="minimum span-tree depth per trace file")
+    parser.add_argument("--flight", action="append", default=[],
+                        help="flight-dumps.json array to validate "
+                             "(repeatable)")
     parser.add_argument("--bench", action="append", default=[], nargs="+",
                         metavar="DOC",
                         help="pico.bench.v2 document to validate, optionally "
                              "followed by a fresh smoke document whose gate "
                              "set it must match (repeatable)")
     args = parser.parse_args()
-    if not args.prom and not args.trace and not args.bench:
-        parser.error("nothing to check: pass --prom, --trace and/or --bench")
+    if not (args.prom or args.trace or args.flight or args.bench):
+        parser.error("nothing to check: pass --prom, --trace, --flight "
+                     "and/or --bench")
     if any(len(paths) > 2 for paths in args.bench):
         parser.error("--bench takes a document and at most one fresh "
                      "document")
@@ -432,6 +488,8 @@ def main():
         ok = check_prom(path, args.min_families) and ok
     for path in args.trace:
         ok = check_trace(path, args.require_depth) and ok
+    for path in args.flight:
+        ok = check_flight(path) and ok
     for paths in args.bench:
         if len(paths) == 2:
             ok = check_bench_pair(*paths) and ok

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Self-test of check_telemetry.py's pico.bench.v2 validator.
+"""Self-test of check_telemetry.py's pico.bench.v2 and flight-dump validators.
 
-Builds crafted bench documents in a temporary directory and asserts the exit
+Builds crafted documents in a temporary directory and asserts the exit
 status the checker gives each one. Stdlib only; run directly or via ctest
 (check_telemetry_selftest).
 """
@@ -159,6 +159,77 @@ class BenchDocTest(unittest.TestCase):
             with self.subTest(schema=schema):
                 self.assertEqual(
                     self.status(self.write("schema.json", doc)), 1)
+
+
+
+def make_dumps():
+    """A valid flight-dumps.json: one dump with two surviving events."""
+    return [{
+        "subject": "run-000001", "dump_reason": "run-failed", "closed": True,
+        "opened_s": 0.0, "last_event_s": 9.0, "events_total": 3,
+        "events_dropped": 1,
+        "events": [
+            {"seq": 1, "t_s": 2.0, "level": "WARN", "component": "flow",
+             "name": "retry", "attrs": {"retry": 1}},
+            {"seq": 2, "t_s": 9.0, "level": "ERROR", "component": "flow",
+             "name": "run-failed"},
+        ],
+    }]
+
+
+class FlightDumpTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self.tmp.cleanup)
+
+    def status(self, dumps):
+        path = os.path.join(self.tmp.name, "flight-dumps.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(dumps if isinstance(dumps, str) else json.dumps(dumps))
+        return subprocess.run(
+            [sys.executable, CHECKER, "--flight", path],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+    def broken(self, edit):
+        dumps = make_dumps()
+        edit(dumps[0])
+        return self.status(dumps)
+
+    def test_valid_dumps(self):
+        self.assertEqual(self.status(make_dumps()), 0)
+        self.assertEqual(self.status([]), 0)
+
+    def test_subject_and_reason_required(self):
+        for key in ("subject", "dump_reason"):
+            with self.subTest(key=key):
+                self.assertEqual(self.broken(lambda d: d.pop(key)), 1)
+                self.assertEqual(
+                    self.broken(lambda d: d.update({key: ""})), 1)
+
+    def test_events_total_covers_surviving_events(self):
+        self.assertEqual(
+            self.broken(lambda d: d.update(events_total=1)), 1)
+
+    def test_seq_strictly_increases(self):
+        def repeat(d):
+            d["events"][1]["seq"] = 1
+        self.assertEqual(self.broken(repeat), 1)
+
+    def test_level_must_be_known(self):
+        def bad_level(d):
+            d["events"][0]["level"] = "warn"
+        self.assertEqual(self.broken(bad_level), 1)
+
+    def test_component_and_name_not_empty(self):
+        for key in ("component", "name"):
+            def empty(d, key=key):
+                d["events"][1][key] = ""
+            with self.subTest(key=key):
+                self.assertEqual(self.broken(empty), 1)
+
+    def test_top_level_must_be_an_array(self):
+        self.assertEqual(self.status(make_dumps()[0]), 1)
+        self.assertEqual(self.status("[{"), 1)
 
 
 if __name__ == "__main__":
