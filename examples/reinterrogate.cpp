@@ -104,7 +104,7 @@ int main() {
     if (archived.empty()) continue;
     auto object = facility.eagle().get(archived);
     if (!object || !object.value()->has_content()) continue;
-    auto file = emd::File::from_bytes(*object.value()->content);
+    auto file = emd::File::from_shared(object.value()->content);
     if (!file) continue;
 
     const emd::Group* group = file.value().root.find_group("data/hyperspectral");

@@ -92,9 +92,10 @@ struct Driver : std::enable_shared_from_this<Driver> {
   CampaignConfig config;
   flow::FlowDefinition definition;
   CampaignResult* result;
-  /// Real EMD bytes staged each cycle when config.real_payloads is set
-  /// (shared: stage_real_file copies, the driver never mutates it).
-  std::shared_ptr<const std::vector<uint8_t>> payload;
+  /// Real EMD bytes staged each cycle when config.real_payloads is set.
+  /// Every staged object shares them; fault injection damages a private
+  /// copy, so the driver's bytes stay pristine.
+  storage::SharedBytes payload;
   int sequence = 0;
   /// Orchestrator blackout: completion notifications are lost while true;
   /// the journal replay at restart reconciles what was missed.
@@ -132,7 +133,7 @@ struct Driver : std::enable_shared_from_this<Driver> {
         sim::Duration::from_seconds(staging_s), [self, filename, index] {
           auto st = self->payload
                         ? self->facility->stage_real_file(filename,
-                                                          *self->payload)
+                                                          self->payload)
                         : self->facility->stage_virtual_file(
                               filename, self->config.file_bytes);
           if (!st) {

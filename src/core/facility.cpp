@@ -224,6 +224,11 @@ util::Status Facility::stage_real_file(const std::string& path,
   return user_store_.put(path, std::move(bytes), engine_.now());
 }
 
+util::Status Facility::stage_real_file(const std::string& path,
+                                       storage::SharedBytes bytes) {
+  return user_store_.put(path, std::move(bytes), engine_.now());
+}
+
 util::Result<const storage::Object*> Facility::data_object(
     const std::string& path) const {
   // Store-mediated flows land inputs on Eagle; direct-streamed flows
@@ -270,8 +275,9 @@ util::Result<Json> Facility::run_hyperspectral_analysis(const Json& args) {
   }
 
   // Real path: parse EMD once, extract metadata + analyze (the paper fuses
-  // both into a single Globus Compute function to avoid reading twice).
-  auto file = emd::File::from_bytes(*obj.value()->content);
+  // both into a single Globus Compute function to avoid reading twice). The
+  // parse verifies every dataset CRC over views of the landed bytes.
+  auto file = emd::File::from_shared(obj.value()->content);
   if (!file) return R::err(file.error());
   auto metadata = analysis::extract_metadata(file.value());
   if (!metadata) return R::err(metadata.error());
@@ -379,7 +385,7 @@ util::Result<Json> Facility::run_spatiotemporal_analysis(const Json& args) {
     return R::ok(virtual_record(args, *obj.value(), "spatiotemporal"));
   }
 
-  auto file = emd::File::from_bytes(*obj.value()->content);
+  auto file = emd::File::from_shared(obj.value()->content);
   if (!file) return R::err(file.error());
   auto metadata = analysis::extract_metadata(file.value());
   if (!metadata) return R::err(metadata.error());

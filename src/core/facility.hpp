@@ -127,6 +127,10 @@ class Facility {
   /// Put a real EMD payload on the user workstation.
   util::Status stage_real_file(const std::string& path,
                                std::vector<uint8_t> bytes);
+  /// stage_real_file by reference: the staged object shares `bytes`, so a
+  /// payload staged every cycle is never copied.
+  util::Status stage_real_file(const std::string& path,
+                               storage::SharedBytes bytes);
 
  private:
   void build_topology();

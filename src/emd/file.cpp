@@ -55,10 +55,10 @@ Json group_to_json(const Group& g, std::vector<uint8_t>& blob) {
   });
 }
 
-// `owner` selects the payload mode: empty -> copy out of the blob (heap
-// load); non-empty -> attach zero-copy views that co-own `owner` (mapped
-// load). CRC verification reads from raw() either way, so a mapped load's
-// verify pass is the single traversal that touches the payload bytes.
+// `owner` selects the payload mode: empty -> copy out of the blob
+// (from_bytes); non-empty -> attach zero-copy views that co-own `owner` (a
+// mapping or a shared buffer). CRC verification reads from raw() either way,
+// so a view parse's verify pass is the single traversal of the payload.
 util::Status group_from_json(const Json& j, const uint8_t* blob,
                              size_t blob_size, bool with_payload,
                              const std::shared_ptr<const void>& owner,
@@ -256,10 +256,18 @@ util::Status File::save(const std::string& path) const {
   return util::write_file(path, to_bytes());
 }
 
+util::Result<File> File::from_shared(
+    std::shared_ptr<const std::vector<uint8_t>> data, bool with_payload) {
+  const std::vector<uint8_t>& bytes = *data;
+  return parse_span(bytes.data(), bytes.size(), with_payload, data);
+}
+
 util::Result<File> File::load(const std::string& path, bool with_payload) {
   auto data = util::read_file(path);
   if (!data) return util::Result<File>::err(data.error());
-  return from_bytes(data.value(), with_payload);
+  return from_shared(
+      std::make_shared<const std::vector<uint8_t>>(std::move(data).value()),
+      with_payload);
 }
 
 util::Result<File> File::load_mapped(const std::string& path,

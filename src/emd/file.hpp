@@ -69,8 +69,8 @@ class Dataset {
   std::span<const uint8_t> raw() const {
     return owner_ ? view_ : std::span<const uint8_t>(raw_);
   }
-  /// False when raw() aliases an external owner (mapped file) instead of
-  /// dataset-owned storage.
+  /// False when raw() aliases an external owner (mapped file or shared
+  /// buffer) instead of dataset-owned storage.
   bool payload_owned() const { return owner_ == nullptr; }
   uint64_t crc() const { return crc_; }
 
@@ -79,8 +79,9 @@ class Dataset {
                            uint64_t crc);
   /// Attach a payload read from the blob section (loader use).
   void attach_payload(std::vector<uint8_t> raw);
-  /// Attach a zero-copy payload view; `owner` keeps the bytes alive (e.g. a
-  /// shared MappedFile) and is co-owned by every dataset of the file.
+  /// Attach a zero-copy payload view; `owner` keeps the bytes alive (a
+  /// shared MappedFile or byte buffer) and is co-owned by every dataset of
+  /// the file.
   void attach_view(std::span<const uint8_t> view,
                    std::shared_ptr<const void> owner);
 
@@ -117,11 +118,22 @@ class File {
   std::vector<uint8_t> to_bytes() const;
 
   /// Parse. with_payload=false reads only the header (group tree, dataset
-  /// shapes/dtypes/CRCs) — the cheap cataloging scan.
+  /// shapes/dtypes/CRCs) — the cheap cataloging scan. Payloads are copied
+  /// out of `data`.
   static util::Result<File> from_bytes(const std::vector<uint8_t>& data,
                                        bool with_payload = true);
 
+  /// Zero-copy parse of immutable shared bytes (a storage object's content):
+  /// dataset payloads are views that co-own `data` (payload_owned() is
+  /// false), so the File may outlive the object it was parsed from. Payload
+  /// CRCs are verified exactly as in from_bytes.
+  static util::Result<File> from_shared(
+      std::shared_ptr<const std::vector<uint8_t>> data,
+      bool with_payload = true);
+
   util::Status save(const std::string& path) const;
+  /// Read the whole file and parse it with from_shared: the read buffer is
+  /// the payloads' backing store, not a source to copy them from.
   static util::Result<File> load(const std::string& path,
                                  bool with_payload = true);
 

@@ -6,10 +6,8 @@
 
 namespace pico::storage {
 
-util::Status Store::put(const std::string& path, std::vector<uint8_t> bytes,
-                        sim::SimTime now) {
-  int64_t size = static_cast<int64_t>(bytes.size());
-  int64_t delta = size;
+util::Status Store::insert(const std::string& path, Object obj) {
+  int64_t delta = obj.size;
   auto it = objects_.find(path);
   if (it != objects_.end()) delta -= it->second.size;
   if (used_ + delta > capacity_) {
@@ -19,58 +17,43 @@ util::Status Store::put(const std::string& path, std::vector<uint8_t> bytes,
                      static_cast<long long>(capacity_)),
         "capacity");
   }
-  Object obj;
-  obj.size = size;
-  obj.crc64 = util::crc64(bytes);
-  obj.stored_crc64 = obj.crc64;
-  obj.created = now;
-  obj.content = std::move(bytes);
   objects_[path] = std::move(obj);
   used_ += delta;
   return util::Status::ok();
 }
 
-util::Status Store::put_with_crc(const std::string& path,
-                                 std::vector<uint8_t> bytes, uint64_t crc64,
-                                 sim::SimTime now) {
-  int64_t size = static_cast<int64_t>(bytes.size());
-  int64_t delta = size;
-  auto it = objects_.find(path);
-  if (it != objects_.end()) delta -= it->second.size;
-  if (used_ + delta > capacity_) {
-    return util::Status::err(
-        util::format("store %s full: need %lld over capacity %lld",
-                     name_.c_str(), static_cast<long long>(used_ + delta),
-                     static_cast<long long>(capacity_)),
-        "capacity");
-  }
+util::Status Store::put(const std::string& path, std::vector<uint8_t> bytes,
+                        sim::SimTime now) {
+  return put(path,
+             std::make_shared<const std::vector<uint8_t>>(std::move(bytes)),
+             now);
+}
+
+util::Status Store::put(const std::string& path, SharedBytes bytes,
+                        sim::SimTime now) {
+  const uint64_t crc = util::crc64(*bytes);
+  return put_with_crc(path, std::move(bytes), crc, now);
+}
+
+util::Status Store::put_with_crc(const std::string& path, SharedBytes bytes,
+                                 uint64_t crc64, sim::SimTime now) {
   Object obj;
-  obj.size = size;
+  obj.size = static_cast<int64_t>(bytes->size());
   obj.crc64 = crc64;
   obj.stored_crc64 = crc64;
   obj.created = now;
   obj.content = std::move(bytes);
-  objects_[path] = std::move(obj);
-  used_ += delta;
-  return util::Status::ok();
+  return insert(path, std::move(obj));
 }
 
 util::Status Store::put_virtual(const std::string& path, int64_t size,
                                 uint64_t crc64, sim::SimTime now) {
-  int64_t delta = size;
-  auto it = objects_.find(path);
-  if (it != objects_.end()) delta -= it->second.size;
-  if (used_ + delta > capacity_) {
-    return util::Status::err("store " + name_ + " full", "capacity");
-  }
   Object obj;
   obj.size = size;
   obj.crc64 = crc64;
   obj.stored_crc64 = crc64;
   obj.created = now;
-  objects_[path] = std::move(obj);
-  used_ += delta;
-  return util::Status::ok();
+  return insert(path, std::move(obj));
 }
 
 bool Store::exists(const std::string& path) const {
@@ -114,8 +97,10 @@ util::Status Store::corrupt(const std::string& path, uint64_t salt) {
     size_t index = static_cast<size_t>(salt % obj.content->size());
     uint8_t mask = static_cast<uint8_t>(1u << (salt % 8));
     if (mask == 0) mask = 1;
-    (*obj.content)[index] ^= mask;
-    obj.stored_crc64 = util::crc64(*obj.content);
+    auto damaged = std::make_shared<std::vector<uint8_t>>(*obj.content);
+    (*damaged)[index] ^= mask;
+    obj.stored_crc64 = util::crc64(*damaged);
+    obj.content = std::move(damaged);
   } else {
     // Size-only object: no bytes to flip, so perturb the media checksum
     // directly. The golden-ratio constant keeps distinct salts distinct.
@@ -139,7 +124,8 @@ util::Status Store::truncate(const std::string& path, int64_t actual_size) {
         "invalid");
   }
   if (obj.content) {
-    obj.content->resize(static_cast<size_t>(actual_size));
+    obj.content = std::make_shared<const std::vector<uint8_t>>(
+        obj.content->begin(), obj.content->begin() + actual_size);
     obj.stored_crc64 = util::crc64(*obj.content);
   } else {
     obj.stored_crc64 =

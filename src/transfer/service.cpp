@@ -654,37 +654,35 @@ void TransferService::finish_file(const TaskId& id, const FileSpec& spec,
 
   // Deliver to the destination store. Real content rides along (and survives
   // a compression round-trip bit-exactly); virtual objects carry size + crc.
-  // Either way the landing checksum is produced by the pass that lands the
-  // bytes (crc64_copy, or the decode verify scan) instead of a second
-  // land-then-scan traversal inside Store::put.
+  // A codec-less landing shares the source's immutable bytes, and its landing
+  // checksum is one crc64 scan over them; a codec round-trip lands fresh
+  // bytes whose checksum the decode verify pass produces. Either way one
+  // traversal yields the landing CRC that the checks below compare.
   util::Status put = util::Status::ok();
   if (obj.value()->has_content()) {
-    const std::vector<uint8_t>& src_bytes = *obj.value()->content;
-    std::vector<uint8_t> content;
+    storage::SharedBytes landed = obj.value()->content;
     uint64_t landed_crc = 0;
     if (!task.request.codec.empty()) {
       const auto* codec =
           compress::CodecRegistry::standard().find(task.request.codec);
       auto round_trip = compress::decode_frame(
           compress::CodecRegistry::standard(),
-          compress::encode_frame(*codec, src_bytes), &landed_crc);
+          compress::encode_frame(*codec, *landed), &landed_crc);
       if (!round_trip) {
         fail_task(id, "codec round-trip failed: " + round_trip.error().message);
         return;
       }
-      content = std::move(round_trip).value();
+      landed = std::make_shared<const std::vector<uint8_t>>(
+          std::move(round_trip).value());
     } else {
-      content.resize(src_bytes.size());
-      landed_crc =
-          util::crc64_copy(content.data(), src_bytes.data(), src_bytes.size());
+      landed_crc = util::crc64(*landed);
     }
-    put = dst.store->put_with_crc(spec.dst_path, std::move(content),
+    put = dst.store->put_with_crc(spec.dst_path, std::move(landed),
                                   landed_crc, engine_->now());
     if (put && telemetry_ != nullptr) {
       telemetry_->metrics
           .counter("transfer_crc_fused_total",
-                   "Landings whose checksum was fused into the landing pass "
-                   "(full re-scan traversals saved)")
+                   "Landings verified in a single pass over the landed bytes")
           .inc();
     }
   } else {

@@ -1,7 +1,13 @@
 #include "util/crc64.hpp"
 
 #include <array>
+#include <cstdlib>
 #include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PICO_CRC64_CLMUL 1
+#include <immintrin.h>
+#endif
 
 namespace pico::util {
 namespace {
@@ -50,12 +56,9 @@ inline uint64_t load_le64(const uint8_t* p) {
          (static_cast<uint64_t>(p[7]) << 56);
 }
 
-}  // namespace
-
-void Crc64::update(const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
+/// Slicing-by-8 over [p, p + n), continuing from register value `crc`.
+uint64_t update_tables(uint64_t crc, const uint8_t* p, size_t n) {
   const auto& t = tables();
-  uint64_t crc = state_;
   while (n >= 8) {
     uint64_t x = crc ^ load_le64(p);
     crc = t[7][x & 0xFF] ^ t[6][(x >> 8) & 0xFF] ^ t[5][(x >> 16) & 0xFF] ^
@@ -67,12 +70,154 @@ void Crc64::update(const void* data, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     crc = t[0][(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
   }
-  state_ = crc;
+  return crc;
+}
+
+#if defined(PICO_CRC64_CLMUL)
+
+// Carry-less-multiply folding (the PCLMULQDQ scheme of Gopal et al., Intel
+// 2009, for reflected CRCs). A 16-byte block loaded little-endian is a
+// 128-bit polynomial whose bit i is the coefficient of x^(127-i), so its low
+// qword L and high qword H stand for L*x^64 + H. Moving the block d bits
+// further down the message multiplies it by x^d, and modulo P
+//   L*x^(64+d) + H*x^d  ==  L*(x^(d+64) mod P) + H*(x^d mod P).
+// PCLMULQDQ of two reflected 64-bit operands yields the reflected 127-bit
+// product one position short of the 128-bit convention (an extra factor x),
+// hence the constants x^(d+63) mod P and x^(d-1) mod P.
+
+/// x^k mod P in the reflected register form (bit i <-> x^(63-i)): start from
+/// 1 (bit 63) and multiply by x k times — exactly one CRC bit step each.
+uint64_t xpow_mod(unsigned k) {
+  uint64_t v = 1ull << 63;
+  for (unsigned i = 0; i < k; ++i) v = (v & 1) ? (v >> 1) ^ kPoly : v >> 1;
+  return v;
+}
+
+struct FoldKeys {
+  __m128i by512;  ///< fold one lane across the other three (64 bytes)
+  __m128i by128;  ///< fold into the adjacent 16-byte block
+};
+
+FoldKeys build_fold_keys() {
+  const auto pair = [](unsigned d) {
+    return _mm_set_epi64x(static_cast<long long>(xpow_mod(d - 1)),
+                          static_cast<long long>(xpow_mod(d + 63)));
+  };
+  return {pair(512), pair(128)};
+}
+
+const FoldKeys& fold_keys() {
+  static const FoldKeys kKeys = build_fold_keys();
+  return kKeys;
+}
+
+__attribute__((target("pclmul"))) inline __m128i fold(__m128i acc,
+                                                      __m128i keys) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(acc, keys, 0x00),
+                       _mm_clmulepi64_si128(acc, keys, 0x11));
+}
+
+inline __m128i load128(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Where update_clmul writes the bytes it folds: nowhere (crc64), through
+/// the caches (crc64_copy), or around them with streaming stores.
+enum class Sink { kNone, kCopy, kStream };
+
+// Copies at least this long use streaming stores (MOVNTDQ) when the
+// destination is 16-byte aligned: a destination that large cannot stay
+// cached anyway, and skipping the write-allocate read cuts the DRAM traffic
+// of the copy from three passes to two.
+constexpr size_t kStreamCopyMin = size_t{16} << 20;
+// Software prefetch distance of the fold loop, enough to cover DRAM latency
+// at full bandwidth (the tensor SIMD kernels use the same ~2 KB).
+constexpr size_t kPrefetchAhead = 2048;
+
+/// Four-lane fold over the longest 16-byte-multiple prefix of [p, p + n)
+/// (n >= 64), writing the bytes to `q` per `kSink`. The folded 128-bit
+/// remainder is then reduced through the slicing tables, and the tail under
+/// 16 bytes continues there too, so no Barrett step is needed.
+template <Sink kSink>
+__attribute__((target("pclmul"))) uint64_t update_clmul(uint64_t crc,
+                                                        uint8_t* q,
+                                                        const uint8_t* p,
+                                                        size_t n) {
+  const FoldKeys& k = fold_keys();
+  const auto take = [&](size_t off) {
+    const __m128i v = load128(p + off);
+    if constexpr (kSink == Sink::kCopy) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(q + off), v);
+    } else if constexpr (kSink == Sink::kStream) {
+      _mm_stream_si128(reinterpret_cast<__m128i*>(q + off), v);
+    }
+    return v;
+  };
+  __m128i x0 =
+      _mm_xor_si128(take(0), _mm_cvtsi64_si128(static_cast<long long>(crc)));
+  __m128i x1 = take(16), x2 = take(32), x3 = take(48);
+  size_t off = 64;
+  for (; n - off >= 64; off += 64) {
+    _mm_prefetch(reinterpret_cast<const char*>(p + off + kPrefetchAhead),
+                 _MM_HINT_T0);
+    x0 = _mm_xor_si128(fold(x0, k.by512), take(off));
+    x1 = _mm_xor_si128(fold(x1, k.by512), take(off + 16));
+    x2 = _mm_xor_si128(fold(x2, k.by512), take(off + 32));
+    x3 = _mm_xor_si128(fold(x3, k.by512), take(off + 48));
+  }
+  __m128i x = _mm_xor_si128(fold(x0, k.by128), x1);
+  x = _mm_xor_si128(fold(x, k.by128), x2);
+  x = _mm_xor_si128(fold(x, k.by128), x3);
+  for (; n - off >= 16; off += 16) {
+    x = _mm_xor_si128(fold(x, k.by128), take(off));
+  }
+  if constexpr (kSink == Sink::kStream) _mm_sfence();
+  if constexpr (kSink != Sink::kNone) std::memcpy(q + off, p + off, n - off);
+  alignas(16) uint8_t rest[16];
+  _mm_store_si128(reinterpret_cast<__m128i*>(rest), x);
+  crc = update_tables(0, rest, sizeof(rest));
+  return update_tables(crc, p + off, n - off);
+}
+
+// Dispatch, resolved once per process: the CLMUL fold when the CPU has it,
+// unless PICO_SIMD=scalar pins the portable slicing-by-8 path (the same
+// override that selects the scalar tensor kernels).
+bool use_clmul() {
+  static const bool kClmul = [] {
+    const char* env = std::getenv("PICO_SIMD");
+    if (env != nullptr && std::strcmp(env, "scalar") == 0) return false;
+    return __builtin_cpu_supports("pclmul") != 0;
+  }();
+  return kClmul;
+}
+
+#endif  // PICO_CRC64_CLMUL
+
+}  // namespace
+
+void Crc64::update(const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+#if defined(PICO_CRC64_CLMUL)
+  if (n >= 64 && use_clmul()) {
+    state_ = update_clmul<Sink::kNone>(state_, nullptr, p, n);
+    return;
+  }
+#endif
+  state_ = update_tables(state_, p, n);
 }
 
 void Crc64::update_copy(void* dst, const void* src, size_t n) {
   const auto* p = static_cast<const uint8_t*>(src);
   auto* q = static_cast<uint8_t*>(dst);
+#if defined(PICO_CRC64_CLMUL)
+  if (n >= 64 && use_clmul()) {
+    const bool stream =
+        n >= kStreamCopyMin && reinterpret_cast<uintptr_t>(q) % 16 == 0;
+    state_ = stream ? update_clmul<Sink::kStream>(state_, q, p, n)
+                    : update_clmul<Sink::kCopy>(state_, q, p, n);
+    return;
+  }
+#endif
   const auto& t = tables();
   uint64_t crc = state_;
   while (n >= 8) {

@@ -8,14 +8,17 @@
 
 namespace pico::util {
 
-/// One-shot CRC-64/ECMA of a byte buffer (slicing-by-8 fast path).
+/// One-shot CRC-64/ECMA of a byte buffer. Inputs of 64+ bytes fold with
+/// carry-less multiply (PCLMULQDQ) when the CPU has it, resolved once per
+/// process; PICO_SIMD=scalar pins the portable slicing-by-8 path, which
+/// also serves shorter inputs and every tail. Both paths are bit-identical.
 uint64_t crc64(const void* data, size_t n);
 uint64_t crc64(std::string_view s);
 uint64_t crc64(const std::vector<uint8_t>& v);
 
 /// Byte-at-a-time reference implementation. Same polynomial semantics as
-/// crc64(); kept so tests and bench_dataplane can cross-check the slicing
-/// rewrite against the value baked into existing EMD files.
+/// crc64(); kept so tests and bench_dataplane can cross-check the fast
+/// paths against the value baked into existing EMD files.
 uint64_t crc64_bytewise(const void* data, size_t n);
 
 /// Fused copy + checksum: copies n bytes from src to dst (which must not

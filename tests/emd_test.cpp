@@ -7,6 +7,7 @@
 
 #include "emd/file.hpp"
 #include "emd/schema.hpp"
+#include "storage/store.hpp"
 #include "tensor/tensor.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -321,7 +322,7 @@ TEST(EmdMapped, LoadMappedEqualsHeapLoad) {
   std::string path = testing::TempDir() + "/pico_emd_mapped.emd";
   ASSERT_TRUE(f.save(path));
 
-  auto heap = File::load(path);
+  auto heap = File::from_bytes(util::read_file(path).value());
   auto mapped = File::load_mapped(path);
   ASSERT_TRUE(heap);
   ASSERT_TRUE(mapped);
@@ -330,7 +331,8 @@ TEST(EmdMapped, LoadMappedEqualsHeapLoad) {
   const Dataset* md = mapped.value().root.find_dataset("data/signal0/data");
   ASSERT_NE(hd, nullptr);
   ASSERT_NE(md, nullptr);
-  // Heap load owns its payload bytes; the mapped load aliases the mapping.
+  // A from_bytes parse owns its payload bytes; the mapped load aliases the
+  // mapping.
   EXPECT_TRUE(hd->payload_owned());
   EXPECT_FALSE(md->payload_owned());
   auto hraw = hd->raw();
@@ -363,6 +365,70 @@ TEST(EmdMapped, ViewsOutliveTheFileObject) {
   auto gains = stolen.as<uint16_t>();
   ASSERT_TRUE(gains);
   EXPECT_EQ(gains.value()[4], 400);
+}
+
+// ------------------------------------------------ shared-buffer parses ----
+
+std::shared_ptr<const std::vector<uint8_t>> shared_sample() {
+  return std::make_shared<const std::vector<uint8_t>>(sample_file().to_bytes());
+}
+
+TEST(EmdShared, DatasetsViewTheSharedBuffer) {
+  const auto bytes = shared_sample();
+  auto shared = File::from_shared(bytes);
+  auto copied = File::from_bytes(*bytes);
+  ASSERT_TRUE(shared);
+  ASSERT_TRUE(copied);
+  for (const char* name : {"data/signal0/data", "calibration/gains"}) {
+    const Dataset* sd = shared.value().root.find_dataset(name);
+    const Dataset* cd = copied.value().root.find_dataset(name);
+    ASSERT_NE(sd, nullptr);
+    ASSERT_NE(cd, nullptr);
+    EXPECT_FALSE(sd->payload_owned()) << name;
+    EXPECT_TRUE(cd->payload_owned()) << name;
+    auto raw = sd->raw();
+    EXPECT_GE(raw.data(), bytes->data()) << name;
+    EXPECT_LE(raw.data() + raw.size(), bytes->data() + bytes->size()) << name;
+    EXPECT_TRUE(std::equal(raw.begin(), raw.end(), cd->raw().begin())) << name;
+  }
+  EXPECT_EQ(shared.value().to_bytes(), *bytes);
+}
+
+TEST(EmdShared, FlippedPayloadByteFailsCorrupt) {
+  auto bytes = sample_file().to_bytes();
+  bytes[bytes.size() - 3] ^= 0xFF;
+  auto re = File::from_shared(
+      std::make_shared<const std::vector<uint8_t>>(std::move(bytes)));
+  ASSERT_FALSE(re);
+  EXPECT_EQ(re.error().code, "corrupt");
+}
+
+TEST(EmdShared, ParsedFileOutlivesStoreRemove) {
+  storage::Store store("eagle", 1 << 20);
+  ASSERT_TRUE(store.put("exp/a.emd", shared_sample(), sim::SimTime{}));
+  auto file = File::from_shared(store.get("exp/a.emd").value()->content);
+  ASSERT_TRUE(file);
+  ASSERT_TRUE(store.remove("exp/a.emd"));
+  const Dataset* ds = file.value().root.find_dataset("data/signal0/data");
+  ASSERT_NE(ds, nullptr);
+  auto cube = ds->as<double>();
+  ASSERT_TRUE(cube);
+  EXPECT_DOUBLE_EQ(cube.value()(1, 2, 3), 23 * 0.5);
+}
+
+TEST(EmdShared, LoadParsesTheReadBufferInPlace) {
+  File f = sample_file();
+  std::string path = testing::TempDir() + "/pico_emd_shared_load.emd";
+  ASSERT_TRUE(f.save(path));
+  auto re = File::load(path);
+  ASSERT_TRUE(re);
+  const Dataset* ds = re.value().root.find_dataset("calibration/gains");
+  ASSERT_NE(ds, nullptr);
+  EXPECT_FALSE(ds->payload_owned());
+  auto gains = ds->as<uint16_t>();
+  ASSERT_TRUE(gains);
+  EXPECT_EQ(gains.value()[4], 400);
+  EXPECT_EQ(re.value().to_bytes(), f.to_bytes());
 }
 
 TEST(EmdMapped, HeaderOnlyMappedRead) {

@@ -24,8 +24,9 @@ TEST(Store, PutGetRealContent) {
 
 TEST(Store, PutWithCrcTrustsTheFusedChecksum) {
   Store store("test", 1000);
-  std::vector<uint8_t> data = {9, 8, 7, 6, 5};
-  const uint64_t crc = util::crc64(data);
+  auto data = std::make_shared<const std::vector<uint8_t>>(
+      std::vector<uint8_t>{9, 8, 7, 6, 5});
+  const uint64_t crc = util::crc64(*data);
   ASSERT_TRUE(store.put_with_crc("fused.emd", data, crc, at(2)));
   auto obj = store.get("fused.emd");
   ASSERT_TRUE(obj);
@@ -36,8 +37,8 @@ TEST(Store, PutWithCrcTrustsTheFusedChecksum) {
 
   // A wrong declared checksum is NOT caught at write time (the whole point
   // is skipping the scan): the store trusts it as both manifest and media
-  // checksum. The fused callers compute the CRC from the landed bytes
-  // themselves (crc64_copy / decode_frame), so they cannot declare wrong —
+  // checksum. The landing callers compute the CRC from the landed bytes
+  // themselves (crc64 scan / decode_frame), so they cannot declare wrong —
   // only a content rescan would expose a lie.
   ASSERT_TRUE(store.put_with_crc("lied.emd", data, crc ^ 1, at(3)));
   auto lied = store.get("lied.emd");
@@ -282,6 +283,83 @@ TEST(Scrubber, MidCampaignCorruptionCaughtOnNextPass) {
   ASSERT_EQ(repair_times.size(), 1u);
   EXPECT_DOUBLE_EQ(repair_times[0], 120.0);
   EXPECT_EQ(store.quarantine_count(), 1u);
+}
+
+// ---- shared payloads: one immutable buffer, copy-on-write fault surface ----
+
+SharedBytes pattern_bytes(size_t n) {
+  auto bytes = std::make_shared<std::vector<uint8_t>>(n);
+  for (size_t i = 0; i < n; ++i) (*bytes)[i] = static_cast<uint8_t>(i * 7 + 3);
+  return bytes;
+}
+
+TEST(StoreShared, DamageStaysWithTheDamagedObject) {
+  const SharedBytes payload = pattern_bytes(4096);
+  const std::vector<uint8_t> pristine = *payload;
+  const uint64_t crc = util::crc64(pristine);
+
+  // Stage one buffer under two paths, then land both on Eagle by reference.
+  Store user("user", 1 << 20);
+  Store eagle("eagle", 1 << 20);
+  ASSERT_TRUE(user.put("stage/a.emd", payload, at(0)));
+  ASSERT_TRUE(user.put("stage/b.emd", payload, at(0)));
+  for (const char* path : {"stage/a.emd", "stage/b.emd"}) {
+    auto src = user.get(path);
+    ASSERT_TRUE(src);
+    ASSERT_TRUE(eagle.put_with_crc(path, src.value()->content, crc, at(1)));
+  }
+  for (Store* store : {&user, &eagle}) {
+    for (const char* path : {"stage/a.emd", "stage/b.emd"}) {
+      EXPECT_EQ(store->get(path).value()->content, payload)
+          << store->name() << " " << path << " should share, not copy";
+    }
+  }
+
+  ASSERT_TRUE(eagle.corrupt("stage/a.emd", 12345));
+  ASSERT_TRUE(user.truncate("stage/b.emd", 1000));
+
+  EXPECT_FALSE(eagle.verify("stage/a.emd").value());
+  EXPECT_FALSE(user.verify("stage/b.emd").value());
+  EXPECT_NE(eagle.get("stage/a.emd").value()->content, payload);
+  EXPECT_EQ(user.get("stage/b.emd").value()->content->size(), 1000u);
+  // Every sibling still verifies and still holds the original bytes.
+  for (auto [store, path] : {std::pair{&user, "stage/a.emd"},
+                             std::pair{&eagle, "stage/b.emd"}}) {
+    EXPECT_TRUE(store->verify(path).value()) << store->name() << " " << path;
+    EXPECT_EQ(*store->get(path).value()->content, pristine)
+        << store->name() << " " << path;
+  }
+  EXPECT_EQ(*payload, pristine);  // the caller's buffer is untouched
+}
+
+TEST(StoreShared, UsedBytesCountsEachObjectsDeclaredSize) {
+  const SharedBytes payload = pattern_bytes(100);
+  Store store("s", 1000);
+  ASSERT_TRUE(store.put("a", payload, at(0)));
+  ASSERT_TRUE(store.put("b", payload, at(0)));
+  EXPECT_EQ(store.used_bytes(), 200);  // sharing is not deduplication
+  ASSERT_TRUE(store.truncate("b", 10));
+  EXPECT_EQ(store.used_bytes(), 200);  // declared size, not surviving bytes
+  ASSERT_TRUE(store.remove("a"));
+  EXPECT_EQ(store.used_bytes(), 100);
+}
+
+TEST(StoreShared, EveryPutReportsCapacityNeed) {
+  Store store("tiny", 10);
+  ASSERT_TRUE(store.put_virtual("v", 8, 0xAB, at(0)));
+  const std::vector<util::Status> refused = {
+      store.put("a", std::vector<uint8_t>(5), at(0)),
+      store.put("b", pattern_bytes(5), at(0)),
+      store.put_with_crc("c", pattern_bytes(5), 0, at(0)),
+      store.put_virtual("d", 5, 0xCD, at(0)),
+  };
+  for (const auto& st : refused) {
+    ASSERT_FALSE(st);
+    EXPECT_EQ(st.error().code, "capacity");
+    EXPECT_EQ(st.error().message, "store tiny full: need 13 over capacity 10");
+  }
+  EXPECT_EQ(store.used_bytes(), 8);
+  EXPECT_EQ(store.object_count(), 1u);
 }
 
 }  // namespace

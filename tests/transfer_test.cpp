@@ -118,8 +118,8 @@ TEST_F(TransferFixture, DeliversRealContentWithChecksum) {
   auto delivered = dst_store.get("exp/data.emd");
   ASSERT_TRUE(delivered);
   EXPECT_EQ(*delivered.value()->content, payload);
-  // The landing checksum was fused into the copy (no re-scan pass), and the
-  // delivered object carries the correct manifest checksum anyway.
+  // The landing was verified in one pass over the landed bytes, and the
+  // delivered object carries the correct manifest checksum.
   EXPECT_EQ(delivered.value()->crc64, util::crc64(payload));
   EXPECT_TRUE(delivered.value()->intact());
   EXPECT_NE(tel.metrics.to_prometheus().find("transfer_crc_fused_total 1"),
@@ -620,6 +620,65 @@ TEST_F(TransferFixture, TruncatedLandingRetriedUntilIntact) {
     ASSERT_TRUE(obj);
     EXPECT_TRUE(obj.value()->intact());
   }
+}
+
+// Codec-less landings share the source's immutable bytes; truncation on the
+// landed copy is copy-on-write, so the source stays whole and the retry
+// lands a clean share again. A codec round-trip lands fresh bytes.
+using StoreShared = TransferFixture;
+
+TEST_F(StoreShared, CodeclessLandingSharesSourceBytes) {
+  auto cfg = quick_config();
+  cfg.max_retries = 30;
+  cfg.retry_backoff_s = 0.05;
+  setup_service(cfg);
+  service->set_truncation_prob(0.5);
+  auto payload = std::make_shared<std::vector<uint8_t>>(60'000);
+  for (size_t i = 0; i < payload->size(); ++i) {
+    (*payload)[i] = static_cast<uint8_t>(i ^ (i >> 9));
+  }
+  const std::vector<uint8_t> pristine = *payload;
+  std::vector<TaskId> tasks;
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "s" + std::to_string(i) + ".emd";
+    ASSERT_TRUE(src_store.put(name, storage::SharedBytes(payload), engine.now()));
+    auto task = service->submit(single_file(name, name), token);
+    ASSERT_TRUE(task);
+    tasks.push_back(task.value());
+  }
+  engine.run();
+  int detected = 0;
+  for (const auto& id : tasks) {
+    TaskInfo info = service->status(id);
+    EXPECT_EQ(info.state, TaskState::Succeeded) << info.error;
+    detected += info.corruption_detected;
+  }
+  EXPECT_GT(detected, 0);  // some landings were truncated and re-sent
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "s" + std::to_string(i) + ".emd";
+    auto landed = dst_store.get(name);
+    ASSERT_TRUE(landed);
+    EXPECT_TRUE(landed.value()->intact());
+    EXPECT_EQ(landed.value()->content, src_store.get(name).value()->content);
+    EXPECT_TRUE(src_store.verify(name).value());
+  }
+  EXPECT_EQ(*payload, pristine);
+}
+
+TEST_F(StoreShared, CodecLandingGetsFreshBytes) {
+  setup_service(quick_config());
+  ASSERT_TRUE(
+      src_store.put("c.emd", std::vector<uint8_t>(50'000, 7), engine.now()));
+  auto req = single_file("c.emd", "c.emd");
+  req.codec = "rle";
+  ASSERT_TRUE(service->submit(req, token));
+  engine.run();
+  auto src = src_store.get("c.emd");
+  auto landed = dst_store.get("c.emd");
+  ASSERT_TRUE(landed);
+  EXPECT_NE(landed.value()->content, src.value()->content);
+  EXPECT_EQ(*landed.value()->content, *src.value()->content);
+  EXPECT_TRUE(landed.value()->intact());
 }
 
 TEST_F(TransferFixture, ProgressHookRejectsClassicAndUnknownTasks) {
