@@ -42,15 +42,16 @@ namespace {
 // Sequential-throughput ratchet (GB/s, full mode only). The convert/normalize
 // floors are 2x the 1.9 GB/s scalar baseline recorded before the SIMD layer
 // landed; the sums are ratcheted well under their ~10-11 GB/s measurements.
-// The CRC kernels fold with carry-less multiply at ~10-15 GB/s where the CPU
-// has PCLMULQDQ; their 5 GB/s floor sits far above the ~1.3 GB/s of the
-// slicing-by-8 fallback, so a silent fall-back fails the gate. On every
-// kernel a regression to scalar code paths fails while run-to-run noise on a
-// shared host does not.
+// The CRC kernels fold with carry-less multiply where the CPU has PCLMULQDQ.
+// On the 256 MB DRAM-resident buffer below (4-vCPU AVX-512 host), crc64
+// measures ~6.1-6.6 GB/s and crc64_copy, which also writes every byte,
+// ~4.4-5.6 GB/s; slicing-by-8 runs ~1.3 GB/s for both. Floors of 5 and 3 GB/s sit well above that fallback, so a silent
+// fall-back fails the gate. On every kernel a regression to scalar code
+// paths fails while run-to-run noise on a shared host does not.
 const std::map<std::string, double> kSeqGbpsFloor = {
     {"convert_fp64_u8", 3.8},    {"to_u8_normalized", 3.8},
     {"sum_axis3_spectral", 5.0}, {"sum_keep_axis3_spectrum", 5.0},
-    {"crc64", 5.0},              {"crc64_copy", 5.0},
+    {"crc64", 5.0},              {"crc64_copy", 3.0},
 };
 
 // Parallel-speedup floor at the widest pool (full mode, multi-core hosts).

@@ -1,8 +1,8 @@
 // Backend selection, resolved once per process. Order of precedence:
-//  1. PICO_SIMD env var: "scalar" | "avx2" | "avx512" | "neon" | "native".
-//     Forcing a
-//     backend the build or CPU lacks silently falls back to scalar — tests
-//     use this to run the reference path on any host.
+//  1. The PICO_SIMD override (util/simd_override.hpp owns its rule, shared
+//     with the CRC-64 fold): "scalar" | "avx2" | "avx512" | "neon" |
+//     "native". Forcing a backend the build or CPU lacks silently falls back
+//     to scalar — tests use this to run the reference path on any host.
 //  2. CPU detection: __builtin_cpu_supports on x86 (avx512f, else avx2+fma;
 //     the TUs are only compiled in when the toolchain takes the flags),
 //     compile-time __ARM_NEON on aarch64.
@@ -10,26 +10,24 @@
 // up to the point of deciding they are pre-AVX2.
 #include "tensor/simd/simd.hpp"
 
-#include <cstdlib>
-#include <cstring>
+#include "util/simd_override.hpp"
 
 namespace pico::tensor::simd {
 
 namespace {
 
+// A backend runs when the build compiled its TU and the CPU executes it.
 bool cpu_has_avx2() {
-#if defined(PICO_HAVE_AVX2) && (defined(__GNUC__) || defined(__clang__))
-  // The AVX2 backend uses vfmadd, a separate ISA extension from AVX2.
-  return __builtin_cpu_supports("avx2") != 0 &&
-         __builtin_cpu_supports("fma") != 0;
+#if defined(PICO_HAVE_AVX2)
+  return util::cpu_supports(util::SimdBackend::kAvx2);
 #else
   return false;
 #endif
 }
 
 bool cpu_has_avx512() {
-#if defined(PICO_HAVE_AVX512) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx512f") != 0;
+#if defined(PICO_HAVE_AVX512)
+  return util::cpu_supports(util::SimdBackend::kAvx512);
 #else
   return false;
 #endif
@@ -37,25 +35,23 @@ bool cpu_has_avx512() {
 
 bool cpu_has_neon() {
 #if defined(PICO_HAVE_NEON)
-  return true;  // NEON is baseline on aarch64
+  return util::cpu_supports(util::SimdBackend::kNeon);
 #else
   return false;
 #endif
 }
 
 Level detect() {
-  if (const char* env = std::getenv("PICO_SIMD")) {
-    if (std::strcmp(env, "scalar") == 0) return Level::kScalar;
-    if (std::strcmp(env, "avx2") == 0) {
-      return cpu_has_avx2() ? Level::kAvx2 : Level::kScalar;
+  if (const auto forced = util::simd_forced()) {
+    switch (*forced) {
+      case util::SimdBackend::kScalar: return Level::kScalar;
+      case util::SimdBackend::kAvx2:
+        return cpu_has_avx2() ? Level::kAvx2 : Level::kScalar;
+      case util::SimdBackend::kAvx512:
+        return cpu_has_avx512() ? Level::kAvx512 : Level::kScalar;
+      case util::SimdBackend::kNeon:
+        return cpu_has_neon() ? Level::kNeon : Level::kScalar;
     }
-    if (std::strcmp(env, "avx512") == 0) {
-      return cpu_has_avx512() ? Level::kAvx512 : Level::kScalar;
-    }
-    if (std::strcmp(env, "neon") == 0) {
-      return cpu_has_neon() ? Level::kNeon : Level::kScalar;
-    }
-    // "native" or anything unrecognized: fall through to detection.
   }
   if (cpu_has_avx512()) return Level::kAvx512;
   if (cpu_has_avx2()) return Level::kAvx2;

@@ -1,8 +1,9 @@
 #include "util/crc64.hpp"
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
+
+#include "util/simd_override.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PICO_CRC64_CLMUL 1
@@ -121,24 +122,11 @@ inline __m128i load128(const uint8_t* p) {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 
-/// Where update_clmul writes the bytes it folds: nowhere (crc64), through
-/// the caches (crc64_copy), or around them with streaming stores.
-enum class Sink { kNone, kCopy, kStream };
-
-// Copies at least this long use streaming stores (MOVNTDQ) when the
-// destination is 16-byte aligned: a destination that large cannot stay
-// cached anyway, and skipping the write-allocate read cuts the DRAM traffic
-// of the copy from three passes to two.
-constexpr size_t kStreamCopyMin = size_t{16} << 20;
-// Software prefetch distance of the fold loop, enough to cover DRAM latency
-// at full bandwidth (the tensor SIMD kernels use the same ~2 KB).
-constexpr size_t kPrefetchAhead = 2048;
-
 /// Four-lane fold over the longest 16-byte-multiple prefix of [p, p + n)
-/// (n >= 64), writing the bytes to `q` per `kSink`. The folded 128-bit
+/// (n >= 64), also copying the bytes to `q` when kCopy. The folded 128-bit
 /// remainder is then reduced through the slicing tables, and the tail under
 /// 16 bytes continues there too, so no Barrett step is needed.
-template <Sink kSink>
+template <bool kCopy>
 __attribute__((target("pclmul"))) uint64_t update_clmul(uint64_t crc,
                                                         uint8_t* q,
                                                         const uint8_t* p,
@@ -146,10 +134,8 @@ __attribute__((target("pclmul"))) uint64_t update_clmul(uint64_t crc,
   const FoldKeys& k = fold_keys();
   const auto take = [&](size_t off) {
     const __m128i v = load128(p + off);
-    if constexpr (kSink == Sink::kCopy) {
+    if constexpr (kCopy) {
       _mm_storeu_si128(reinterpret_cast<__m128i*>(q + off), v);
-    } else if constexpr (kSink == Sink::kStream) {
-      _mm_stream_si128(reinterpret_cast<__m128i*>(q + off), v);
     }
     return v;
   };
@@ -158,8 +144,6 @@ __attribute__((target("pclmul"))) uint64_t update_clmul(uint64_t crc,
   __m128i x1 = take(16), x2 = take(32), x3 = take(48);
   size_t off = 64;
   for (; n - off >= 64; off += 64) {
-    _mm_prefetch(reinterpret_cast<const char*>(p + off + kPrefetchAhead),
-                 _MM_HINT_T0);
     x0 = _mm_xor_si128(fold(x0, k.by512), take(off));
     x1 = _mm_xor_si128(fold(x1, k.by512), take(off + 16));
     x2 = _mm_xor_si128(fold(x2, k.by512), take(off + 32));
@@ -171,8 +155,7 @@ __attribute__((target("pclmul"))) uint64_t update_clmul(uint64_t crc,
   for (; n - off >= 16; off += 16) {
     x = _mm_xor_si128(fold(x, k.by128), take(off));
   }
-  if constexpr (kSink == Sink::kStream) _mm_sfence();
-  if constexpr (kSink != Sink::kNone) std::memcpy(q + off, p + off, n - off);
+  if constexpr (kCopy) std::memcpy(q + off, p + off, n - off);
   alignas(16) uint8_t rest[16];
   _mm_store_si128(reinterpret_cast<__m128i*>(rest), x);
   crc = update_tables(0, rest, sizeof(rest));
@@ -180,14 +163,11 @@ __attribute__((target("pclmul"))) uint64_t update_clmul(uint64_t crc,
 }
 
 // Dispatch, resolved once per process: the CLMUL fold when the CPU has it,
-// unless PICO_SIMD=scalar pins the portable slicing-by-8 path (the same
-// override that selects the scalar tensor kernels).
+// unless the PICO_SIMD override pins the portable paths (the rule the
+// tensor kernels follow too; see util/simd_override.hpp).
 bool use_clmul() {
-  static const bool kClmul = [] {
-    const char* env = std::getenv("PICO_SIMD");
-    if (env != nullptr && std::strcmp(env, "scalar") == 0) return false;
-    return __builtin_cpu_supports("pclmul") != 0;
-  }();
+  static const bool kClmul = simd_forced() != SimdBackend::kScalar &&
+                             __builtin_cpu_supports("pclmul") != 0;
   return kClmul;
 }
 
@@ -199,7 +179,7 @@ void Crc64::update(const void* data, size_t n) {
   const auto* p = static_cast<const uint8_t*>(data);
 #if defined(PICO_CRC64_CLMUL)
   if (n >= 64 && use_clmul()) {
-    state_ = update_clmul<Sink::kNone>(state_, nullptr, p, n);
+    state_ = update_clmul<false>(state_, nullptr, p, n);
     return;
   }
 #endif
@@ -211,10 +191,7 @@ void Crc64::update_copy(void* dst, const void* src, size_t n) {
   auto* q = static_cast<uint8_t*>(dst);
 #if defined(PICO_CRC64_CLMUL)
   if (n >= 64 && use_clmul()) {
-    const bool stream =
-        n >= kStreamCopyMin && reinterpret_cast<uintptr_t>(q) % 16 == 0;
-    state_ = stream ? update_clmul<Sink::kStream>(state_, q, p, n)
-                    : update_clmul<Sink::kCopy>(state_, q, p, n);
+    state_ = update_clmul<true>(state_, q, p, n);
     return;
   }
 #endif

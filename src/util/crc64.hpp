@@ -10,8 +10,9 @@ namespace pico::util {
 
 /// One-shot CRC-64/ECMA of a byte buffer. Inputs of 64+ bytes fold with
 /// carry-less multiply (PCLMULQDQ) when the CPU has it, resolved once per
-/// process; PICO_SIMD=scalar pins the portable slicing-by-8 path, which
-/// also serves shorter inputs and every tail. Both paths are bit-identical.
+/// process; a PICO_SIMD override that pins the portable paths (see
+/// util/simd_override.hpp) selects slicing-by-8, which also serves shorter
+/// inputs and every tail. Both paths are bit-identical.
 uint64_t crc64(const void* data, size_t n);
 uint64_t crc64(std::string_view s);
 uint64_t crc64(const std::vector<uint8_t>& v);

@@ -9,6 +9,7 @@
 #include "tensor/simd/simd.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
+#include "util/simd_override.hpp"
 
 namespace pico::tensor {
 namespace {
@@ -298,6 +299,20 @@ TEST(SimdParity, ActiveLevelIsReportable) {
   ASSERT_NE(name, nullptr);
   EXPECT_TRUE(std::string(name) == "scalar" || std::string(name) == "avx2" ||
               std::string(name) == "avx512" || std::string(name) == "neon");
+}
+
+TEST(SimdParity, OverrideRuleIsSharedWithDispatch) {
+  // Whatever PICO_SIMD this process runs under, dispatch agrees with the
+  // shared rule: a scalar-pinning override selects the scalar backend, and
+  // a forced backend is one this CPU runs.
+  EXPECT_TRUE(util::cpu_supports(util::SimdBackend::kScalar));
+  const auto forced = util::simd_forced();
+  if (forced == util::SimdBackend::kScalar) {
+    EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
+  }
+  if (forced.has_value()) {
+    EXPECT_TRUE(util::cpu_supports(*forced));
+  }
 }
 
 }  // namespace

@@ -876,20 +876,6 @@ TEST(Crc64Clmul, CopyWritesExactBytesAndNothingPast) {
   }
 }
 
-TEST(Crc64Clmul, LargeAlignedCopyStreamsExactBytes) {
-  // Past 16 MiB a 16-byte-aligned destination takes streaming stores; an
-  // odd length leaves a tail for the table path to copy.
-  const size_t n = (size_t{16} << 20) + 37;
-  const auto data = random_bytes(n, 0x57E);
-  std::vector<uint8_t> out(n + 64, 0xEE);  // operator new aligns to 16
-  ASSERT_EQ(reinterpret_cast<uintptr_t>(out.data()) % 16, 0u);
-  EXPECT_EQ(crc64_copy(out.data(), data.data(), n),
-            crc64_bytewise(data.data(), n));
-  EXPECT_TRUE(std::equal(data.begin(), data.end(), out.begin()));
-  EXPECT_TRUE(std::all_of(out.begin() + static_cast<ptrdiff_t>(n), out.end(),
-                          [](uint8_t b) { return b == 0xEE; }));
-}
-
 TEST(Crc64Clmul, CheckValueOnEveryEntryPoint) {
   const std::string_view check = "123456789";
   EXPECT_EQ(crc64(check), 0x995DC9BBDF1939FAull);
