@@ -103,21 +103,24 @@ Facility::Facility(FacilityConfig config)
   telemetry_.flight.configure(config_.health.flight);
   health_ = std::make_unique<telemetry::health::HealthMonitor>(
       engine_, telemetry_, config_.health);
-  health_->set_link_probe([this] {
-    std::vector<telemetry::health::LinkProbe> probes;
-    for (net::LinkId lid = 0;
-         lid < static_cast<net::LinkId>(topo_.link_count()); ++lid) {
-      const net::Link& l = topo_.link(lid);
-      telemetry::health::LinkProbe p;
-      p.link = l.name.empty()
-                   ? util::format("link-%u", static_cast<unsigned>(lid))
-                   : l.name;
-      p.up = l.up;
-      p.utilization = network_->average_utilization(lid);
-      probes.push_back(std::move(p));
-    }
-    return probes;
-  });
+  // Links are only ever added, so each probe entry's name is built once.
+  health_->set_link_probe(
+      [this](std::vector<telemetry::health::LinkProbe>& probes) {
+        const auto links = static_cast<net::LinkId>(topo_.link_count());
+        for (auto lid = static_cast<net::LinkId>(probes.size()); lid < links;
+             ++lid) {
+          const net::Link& l = topo_.link(lid);
+          telemetry::health::LinkProbe p;
+          p.link = l.name.empty()
+                       ? util::format("link-%u", static_cast<unsigned>(lid))
+                       : l.name;
+          probes.push_back(std::move(p));
+        }
+        for (net::LinkId lid = 0; lid < links; ++lid) {
+          probes[lid].up = topo_.link(lid).up;
+          probes[lid].utilization = network_->average_utilization(lid);
+        }
+      });
 
   user_identity_ = "operator@anl.gov";
   user_token_ = auth_.issue(

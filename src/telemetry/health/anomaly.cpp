@@ -6,42 +6,52 @@
 namespace pico::telemetry::health {
 
 AnomalyDetector::AnomalyDetector(AnomalyConfig config)
-    : config_(std::move(config)) {
-  for (const auto& family : config_.families) watched_[family] = true;
+    : config_(std::move(config)),
+      watched_(config_.families.begin(), config_.families.end()) {}
+
+void AnomalyDetector::first_sight(sim::SimTime at, const SeriesRef& ref,
+                                  SeriesState& s,
+                                  std::vector<HealthAlert>& alerts) {
+  // Histograms participate through their cumulative sum (e.g.
+  // stream_degraded_seconds); gauges are point-in-time and skipped.
+  if (ref.kind == MetricKind::Gauge ||
+      (!watched_.empty() && !watched_.count(*ref.name))) {
+    s.watch = SeriesState::Watch::Ignored;
+    return;
+  }
+  s.watch = SeriesState::Watch::Watched;
+  ++tracked_;
+  s.subject = *ref.name;
+  for (const auto& [k, v] : *ref.labels) s.subject += "," + k + "=" + v;
+  s.last = ref.value;
+  if (config_.alert_on_birth &&
+      global_ticks_ >= static_cast<uint64_t>(config_.warmup_ticks) &&
+      ref.value >= config_.min_delta) {
+    // A watched series born after warmup means the bad thing just started
+    // happening; series present from tick zero only seed state.
+    char detail[96];
+    std::snprintf(detail, sizeof(detail), "series appeared, value=%.1f",
+                  ref.value);
+    alerts.push_back({at, "anomaly", "warn", s.subject, detail});
+    ++alerts_fired_;
+    s.hot = true;
+  }
 }
 
 std::vector<HealthAlert> AnomalyDetector::observe(
-    sim::SimTime at, const std::vector<MetricSample>& snapshot) {
+    sim::SimTime at, const std::vector<SeriesRef>& view) {
   std::vector<HealthAlert> alerts;
-  for (const auto& sample : snapshot) {
-    // Histograms participate through their cumulative sum (e.g.
-    // stream_degraded_seconds); gauges are point-in-time and skipped.
-    if (sample.kind == MetricKind::Gauge) continue;
-    if (!watched_.empty() && !watched_.count(sample.name)) continue;
-
-    std::string key = sample.name;
-    for (const auto& [k, v] : sample.labels) key += "," + k + "=" + v;
-
-    SeriesState& s = state_[key];
-    if (!s.seen) {
-      s.seen = true;
-      s.last = sample.value;
-      if (config_.alert_on_birth && global_ticks_ >=
-              static_cast<uint64_t>(config_.warmup_ticks) &&
-          sample.value >= config_.min_delta) {
-        // A watched series born after warmup means the bad thing just
-        // started happening; series present from tick zero only seed state.
-        char detail[96];
-        std::snprintf(detail, sizeof(detail), "series appeared, value=%.1f",
-                      sample.value);
-        alerts.push_back({at, "anomaly", "warn", key, detail});
-        ++alerts_fired_;
-        s.hot = true;
-      }
+  for (const SeriesRef& ref : view) {
+    if (ref.index >= series_.size()) series_.resize(ref.index + 1);
+    SeriesState& s = series_[ref.index];
+    if (s.watch == SeriesState::Watch::Unseen) {
+      first_sight(at, ref, s, alerts);
       continue;
     }
-    const double delta = sample.value - s.last;
-    s.last = sample.value;
+    if (s.watch == SeriesState::Watch::Ignored) continue;
+
+    const double delta = ref.value - s.last;
+    s.last = ref.value;
 
     const double sigma = std::sqrt(s.var);
     const bool warm = s.ticks >= config_.warmup_ticks;
@@ -53,7 +63,7 @@ std::vector<HealthAlert> AnomalyDetector::observe(
           std::snprintf(detail, sizeof(detail),
                         "delta=%.1f ewma=%.2f sigma=%.2f z=%.1f", delta,
                         s.mean, sigma, z);
-          alerts.push_back({at, "anomaly", "warn", key, detail});
+          alerts.push_back({at, "anomaly", "warn", s.subject, detail});
           ++alerts_fired_;
         }
         s.hot = true;

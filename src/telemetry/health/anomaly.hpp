@@ -7,8 +7,12 @@
 // warmup period, and above an absolute floor so a first retry in an idle
 // facility doesn't page) raises an "anomaly" alert. Deterministic: no clock,
 // no RNG — state advances only on observe().
+//
+// State is kept by SeriesRef::index: whether a series is watched, and its
+// alert subject, are decided once, the first time a view shows it. One
+// detector therefore reads views of one registry only.
 #include <cstdint>
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,26 +45,34 @@ class AnomalyDetector {
  public:
   explicit AnomalyDetector(AnomalyConfig config = {});
 
-  /// Ingest one snapshot; returns alerts for series spiking this tick.
+  /// Ingest one registry view; returns alerts for series spiking this tick.
   std::vector<HealthAlert> observe(sim::SimTime at,
-                                   const std::vector<MetricSample>& snapshot);
+                                   const std::vector<SeriesRef>& view);
 
   uint64_t alerts_fired() const { return alerts_fired_; }
-  size_t series_tracked() const { return state_.size(); }
+  size_t series_tracked() const { return tracked_; }
 
  private:
   struct SeriesState {
-    double last = 0.0;  ///< last cumulative value
-    double mean = 0.0;  ///< EWMA of deltas
-    double var = 0.0;   ///< EWMA of squared deviation
+    enum class Watch : uint8_t { Unseen, Ignored, Watched };
+    Watch watch = Watch::Unseen;
+    bool hot = false;     ///< currently in a spike episode (dedups alerts)
     int ticks = 0;
-    bool seen = false;
-    bool hot = false;  ///< currently in a spike episode (dedups alerts)
+    double last = 0.0;    ///< last cumulative value
+    double mean = 0.0;    ///< EWMA of deltas
+    double var = 0.0;     ///< EWMA of squared deviation
+    std::string subject;  ///< "name,k=v,..." for alerts
   };
 
+  /// First sighting of a series: decide whether it is watched, and if so
+  /// seed its state (and raise a birth alert past warmup).
+  void first_sight(sim::SimTime at, const SeriesRef& ref, SeriesState& s,
+                   std::vector<HealthAlert>& alerts);
+
   AnomalyConfig config_;
-  std::map<std::string, bool> watched_;  ///< family -> true (empty = all)
-  std::map<std::string, SeriesState> state_;
+  std::set<std::string> watched_;    ///< families (empty = every counter)
+  std::vector<SeriesState> series_;  ///< by SeriesRef::index
+  size_t tracked_ = 0;
   uint64_t alerts_fired_ = 0;
   uint64_t global_ticks_ = 0;  ///< observe() calls (series-birth warmup)
 };

@@ -80,9 +80,11 @@ HealthMonitor::HealthMonitor(sim::Engine& engine, Telemetry& telemetry,
       slo_(config_.slo), anomaly_(config_.anomaly),
       exempt_(config_.watchdog_exempt.begin(), config_.watchdog_exempt.end()) {}
 
-void HealthMonitor::set_link_probe(
-    std::function<std::vector<LinkProbe>()> probe) {
+void HealthMonitor::set_link_probe(LinkProbeFn probe) {
   link_probe_ = std::move(probe);
+  link_probes_.clear();
+  link_scores_.clear();
+  link_gauges_.clear();
 }
 
 void HealthMonitor::start(double horizon_s) {
@@ -101,24 +103,82 @@ void HealthMonitor::schedule_next() {
   });
 }
 
-SloInput HealthMonitor::extract_slo_input(
-    const std::vector<MetricSample>& snapshot, sim::SimTime now) const {
+uint32_t HealthMonitor::provider_slot(const std::string& provider) {
+  // provider_scores_ stays in name order; a new provider's entry is filled
+  // in by this tick's score_providers().
+  auto pos = std::lower_bound(
+      provider_scores_.begin(), provider_scores_.end(), provider,
+      [](const ProviderScore& p, const std::string& name) {
+        return p.provider < name;
+      });
+  const auto at = pos - provider_scores_.begin();
+  if (pos != provider_scores_.end() && pos->provider == provider) {
+    return score_slot_[at];
+  }
+  const auto slot = static_cast<uint32_t>(score_slot_.size());
+  ProviderScore score;
+  score.provider = provider;
+  provider_scores_.insert(pos, std::move(score));
+  score_slot_.insert(score_slot_.begin() + at, slot);
+  provider_gauges_.push_back(nullptr);
+  return slot;
+}
+
+HealthMonitor::SeriesRole HealthMonitor::classify(const SeriesRef& ref) {
+  const std::string& name = *ref.name;
+  const Labels& labels = *ref.labels;
+  if (name == "flow_runs_total") {
+    auto it = labels.find("state");
+    if (it == labels.end()) return {Role::None};
+    if (it->second == "succeeded") return {Role::Succeeded};
+    if (it->second == "failed") return {Role::Failed};
+    return {Role::None};
+  }
+  if (name == "flow_runs_slow_total") return {Role::Slow};
+  if (name == "flow_active_runs") return {Role::Active};
+
+  Role role = Role::None;
+  if (name == "flow_retries_total") {
+    role = Role::Retries;
+  } else if (name == "flow_timeouts_total") {
+    role = Role::Timeouts;
+  } else if (name == "flow_breaker_deferrals_total") {
+    role = Role::Deferrals;
+  } else if (name == "flow_breaker_open") {
+    role = Role::BreakerOpen;
+  } else if (name == "flow_polls_total" ||
+             name == "flow_breaker_transitions_total") {
+    role = Role::Discovery;
+  }
+  if (role == Role::None) return {Role::None};
+  auto it = labels.find("provider");
+  if (it == labels.end()) return {Role::None};
+  return {role, provider_slot(it->second)};
+}
+
+void HealthMonitor::classify_new_series() {
+  for (const SeriesRef& ref : view_) {
+    if (ref.index >= roles_.size()) roles_.resize(ref.index + 1);
+    SeriesRole& r = roles_[ref.index];
+    if (r.role == Role::Unseen) r = classify(ref);
+  }
+}
+
+SloInput HealthMonitor::extract_slo_input(sim::SimTime now) const {
   SloInput input;
   input.at = now;
   double active = 0.0;
-  for (const auto& s : snapshot) {
-    if (s.name == "flow_runs_total") {
-      auto it = s.labels.find("state");
-      if (it == s.labels.end()) continue;
-      if (it->second == "succeeded") {
+  for (const SeriesRef& s : view_) {
+    switch (roles_[s.index].role) {
+      case Role::Succeeded:
         input.succeeded += static_cast<uint64_t>(s.value);
-      } else if (it->second == "failed") {
+        break;
+      case Role::Failed:
         input.failed += static_cast<uint64_t>(s.value);
-      }
-    } else if (s.name == "flow_runs_slow_total") {
-      input.slow += static_cast<uint64_t>(s.value);
-    } else if (s.name == "flow_active_runs") {
-      active += s.value;
+        break;
+      case Role::Slow: input.slow += static_cast<uint64_t>(s.value); break;
+      case Role::Active: active += s.value; break;
+      default: break;
     }
   }
   input.started =
@@ -170,75 +230,68 @@ void HealthMonitor::run_watchdogs(sim::SimTime now,
   stalled_now_ = stalled;
 }
 
-void HealthMonitor::score_providers(const std::vector<MetricSample>& snapshot,
-                                    sim::SimTime now) {
-  std::map<std::string, ProviderCounts> counts;
-  std::map<std::string, double> breaker_open;
-  for (const auto& s : snapshot) {
-    auto it = s.labels.find("provider");
-    if (it == s.labels.end()) continue;
-    const std::string& provider = it->second;
-    if (s.name == "flow_retries_total") {
-      counts[provider].retries += s.value;
-    } else if (s.name == "flow_timeouts_total") {
-      counts[provider].timeouts += s.value;
-    } else if (s.name == "flow_breaker_deferrals_total") {
-      counts[provider].deferrals += s.value;
-    } else if (s.name == "flow_polls_total" ||
-               s.name == "flow_breaker_transitions_total") {
-      counts[provider];  // provider discovery only
-    } else if (s.name == "flow_breaker_open") {
-      counts[provider];
-      breaker_open[provider] = s.value;
+void HealthMonitor::score_providers(sim::SimTime now) {
+  std::vector<ProviderSample> counts(score_slot_.size());
+  for (const SeriesRef& s : view_) {
+    const SeriesRole& r = roles_[s.index];
+    switch (r.role) {
+      case Role::Retries: counts[r.provider].retries += s.value; break;
+      case Role::Timeouts: counts[r.provider].timeouts += s.value; break;
+      case Role::Deferrals: counts[r.provider].deferrals += s.value; break;
+      case Role::BreakerOpen: counts[r.provider].breaker_open = s.value; break;
+      default: break;
     }
   }
 
-  provider_history_.emplace_back(now, counts);
+  provider_history_.push_back({now, std::move(counts)});
   const sim::SimTime keep{
       now.ns - static_cast<int64_t>(config_.slo.fast.seconds * 1e9)};
-  while (provider_history_.size() > 2 && provider_history_[1].first <= keep) {
+  while (provider_history_.size() > 2 && provider_history_[1].at <= keep) {
     provider_history_.pop_front();
   }
-  const auto& base = provider_history_.front();
-  const double window_s = std::max((now - base.first).seconds(),
-                                   config_.snapshot_interval_s);
+  const ProviderRow& base = provider_history_.front();
+  const ProviderRow& cur = provider_history_.back();
+  const double window_s =
+      std::max((now - base.at).seconds(), config_.snapshot_interval_s);
   const double per_min = 60.0 / window_s;
 
-  provider_scores_.clear();
-  for (const auto& [provider, cur] : counts) {
-    ProviderCounts prev;
-    auto it = base.second.find(provider);
-    if (it != base.second.end()) prev = it->second;
-    ProviderScore score;
-    score.provider = provider;
-    score.breaker_open = breaker_open.count(provider) ? breaker_open[provider]
-                                                      : 0.0;
-    score.retries_per_min = (cur.retries - prev.retries) * per_min;
-    score.timeouts_per_min = (cur.timeouts - prev.timeouts) * per_min;
-    score.deferrals_per_min = (cur.deferrals - prev.deferrals) * per_min;
+  for (size_t i = 0; i < provider_scores_.size(); ++i) {
+    const uint32_t slot = score_slot_[i];
+    const ProviderSample& c = cur.counts[slot];
+    const ProviderSample prev =
+        slot < base.counts.size() ? base.counts[slot] : ProviderSample{};
+    ProviderScore& score = provider_scores_[i];
+    score.breaker_open = c.breaker_open;
+    score.retries_per_min = (c.retries - prev.retries) * per_min;
+    score.timeouts_per_min = (c.timeouts - prev.timeouts) * per_min;
+    score.deferrals_per_min = (c.deferrals - prev.deferrals) * per_min;
     // Health-score formula (documented in DESIGN.md §15): start from 100,
     // subtract 50 for an open breaker, then windowed instability rates.
     score.score = clamp_score(100.0 - 50.0 * score.breaker_open -
                               15.0 * score.retries_per_min -
                               10.0 * score.timeouts_per_min -
                               10.0 * score.deferrals_per_min);
-    provider_scores_.push_back(std::move(score));
   }
 }
 
 void HealthMonitor::score_links() {
-  link_scores_.clear();
   if (!link_probe_) return;
-  for (const auto& probe : link_probe_()) {
-    LinkScore score;
-    score.link = probe.link;
+  link_probe_(link_probes_);
+  link_scores_.resize(link_probes_.size());
+  link_gauges_.resize(link_probes_.size(), nullptr);
+  for (size_t i = 0; i < link_probes_.size(); ++i) {
+    const LinkProbe& probe = link_probes_[i];
+    LinkScore& score = link_scores_[i];
+    if (score.link != probe.link) {
+      score.link = probe.link;
+      link_gauges_[i] = nullptr;
+    }
     score.up = probe.up;
     score.utilization = probe.utilization;
     score.score = probe.up
                       ? clamp_score(100.0 -
                                     30.0 * std::min(1.0, probe.utilization))
                       : 0.0;
-    link_scores_.push_back(std::move(score));
   }
 }
 
@@ -256,62 +309,78 @@ void HealthMonitor::publish_alert(const HealthAlert& alert) {
                        alert.detail.c_str());
 }
 
+void HealthMonitor::publish_gauges() {
+  auto& metrics = telemetry_->metrics;
+  const auto& slos = slo_.status();
+  for (size_t i = 0; i < slos.size(); ++i) {
+    if (i == slo_gauges_.size()) {
+      const char* help = "Error-budget burn rate by objective/window";
+      const std::string& objective = slos[i].objective;
+      slo_gauges_.push_back(
+          {&metrics.gauge("slo_burn_rate", help,
+                          {{"objective", objective}, {"window", "fast"}}),
+           &metrics.gauge("slo_burn_rate", help,
+                          {{"objective", objective}, {"window", "slow"}})});
+    }
+    slo_gauges_[i][0]->set(slos[i].fast_burn);
+    slo_gauges_[i][1]->set(slos[i].slow_burn);
+  }
+  for (size_t i = 0; i < provider_scores_.size(); ++i) {
+    Gauge*& gauge = provider_gauges_[score_slot_[i]];
+    if (!gauge) {
+      gauge = &metrics.gauge("health_provider_score",
+                             "Broker-facing provider health score (0-100)",
+                             {{"provider", provider_scores_[i].provider}});
+    }
+    gauge->set(provider_scores_[i].score);
+  }
+  for (size_t i = 0; i < link_scores_.size(); ++i) {
+    if (!link_gauges_[i]) {
+      link_gauges_[i] = &metrics.gauge(
+          "health_link_score", "Broker-facing link health score (0-100)",
+          {{"link", link_scores_[i].link}});
+    }
+    link_gauges_[i]->set(link_scores_[i].score);
+  }
+  if (!ticks_counter_) {
+    open_flows_gauge_ =
+        &metrics.gauge("health_open_flows", "Flows with open flight rings");
+    stalled_flows_gauge_ =
+        &metrics.gauge("health_stalled_flows",
+                       "Open flows past the stall watchdog threshold");
+    ticks_counter_ = &metrics.counter("health_ticks_total",
+                                      "Health monitor evaluation passes");
+  }
+  open_flows_gauge_->set(static_cast<double>(open_now_));
+  stalled_flows_gauge_->set(static_cast<double>(stalled_now_));
+  ticks_counter_->inc();
+}
+
 void HealthMonitor::tick() {
   if (!config_.enabled) return;
   const sim::SimTime now = engine_->now();
   ++ticks_;
-  const auto snapshot = telemetry_->metrics.snapshot();
+  telemetry_->metrics.view(&view_);
+  classify_new_series();
 
   std::vector<HealthAlert> fired;
 
-  const SloInput input = extract_slo_input(snapshot, now);
+  const SloInput input = extract_slo_input(now);
   for (auto& alert : slo_.feed(input)) {
     ++slo_alerts_;
     fired.push_back(std::move(alert));
   }
 
-  for (auto& alert : anomaly_.observe(now, snapshot)) {
+  for (auto& alert : anomaly_.observe(now, view_)) {
     fired.push_back(std::move(alert));
   }
 
   run_watchdogs(now, fired);
-  score_providers(snapshot, now);
+  score_providers(now);
   score_links();
 
   for (const auto& alert : fired) publish_alert(alert);
-
-  auto& metrics = telemetry_->metrics;
-  for (const auto& s : slo_.status()) {
-    metrics
-        .gauge("slo_burn_rate", "Error-budget burn rate by objective/window",
-               {{"objective", s.objective}, {"window", "fast"}})
-        .set(s.fast_burn);
-    metrics
-        .gauge("slo_burn_rate", "Error-budget burn rate by objective/window",
-               {{"objective", s.objective}, {"window", "slow"}})
-        .set(s.slow_burn);
-  }
-  for (const auto& p : provider_scores_) {
-    metrics
-        .gauge("health_provider_score",
-               "Broker-facing provider health score (0-100)",
-               {{"provider", p.provider}})
-        .set(p.score);
-  }
-  for (const auto& l : link_scores_) {
-    metrics
-        .gauge("health_link_score", "Broker-facing link health score (0-100)",
-               {{"link", l.link}})
-        .set(l.score);
-  }
-  metrics.gauge("health_open_flows", "Flows with open flight rings")
-      .set(static_cast<double>(open_now_));
-  metrics
-      .gauge("health_stalled_flows",
-             "Open flows past the stall watchdog threshold")
-      .set(static_cast<double>(stalled_now_));
-  metrics.counter("health_ticks_total", "Health monitor evaluation passes")
-      .inc();
+  publish_gauges();
 }
 
 HealthReport HealthMonitor::report() const {

@@ -1,8 +1,8 @@
 #pragma once
-// The live health plane: a periodic monitor that snapshots the metrics
-// registry, evaluates SLO burn rates, runs flow watchdogs over the flight
-// recorder, feeds the anomaly detector, and distills per-provider/per-link
-// health scores.
+// The live health plane: a periodic monitor that reads the metrics registry
+// in place (one MetricsRegistry::view per tick), evaluates SLO burn rates,
+// runs flow watchdogs over the flight recorder, feeds the anomaly detector,
+// and distills per-provider/per-link health scores.
 //
 // Everything the monitor emits goes three ways: a HealthReport (JSON + portal
 // page), health_* gauges/counters back into the MetricsRegistry (so the
@@ -12,10 +12,10 @@
 // Determinism: the monitor draws no randomness and only adds its own periodic
 // events to the engine, so enabling it never perturbs the relative order of
 // the simulation it observes.
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -91,9 +91,14 @@ class HealthMonitor {
 
   const HealthConfig& config() const { return config_; }
 
+  /// Refreshes one LinkProbe per link in place. The vector persists across
+  /// ticks, so a probe over a fixed set of links writes each name once and
+  /// afterwards only updates `up` and `utilization`.
+  using LinkProbeFn = std::function<void(std::vector<LinkProbe>&)>;
+
   /// Facility installs a probe over its topology/network (the telemetry
   /// library cannot depend on net/).
-  void set_link_probe(std::function<std::vector<LinkProbe>()> probe);
+  void set_link_probe(LinkProbeFn probe);
 
   /// Schedule periodic ticks while tick time <= horizon (campaign duration),
   /// so the engine's queue still drains.
@@ -113,21 +118,54 @@ class HealthMonitor {
   uint64_t ticks() const { return ticks_; }
 
  private:
+  /// What one registry series feeds, decided the first time a tick sees it.
+  enum class Role : uint8_t {
+    Unseen,
+    None,
+    Succeeded,    ///< flow_runs_total{state="succeeded"}
+    Failed,       ///< flow_runs_total{state="failed"}
+    Slow,         ///< flow_runs_slow_total
+    Active,       ///< flow_active_runs
+    Retries,      ///< flow_retries_total{provider}
+    Timeouts,     ///< flow_timeouts_total{provider}
+    Deferrals,    ///< flow_breaker_deferrals_total{provider}
+    BreakerOpen,  ///< flow_breaker_open{provider}
+    Discovery,    ///< other provider families: the provider exists
+  };
+  struct SeriesRole {
+    Role role = Role::Unseen;
+    uint32_t provider = 0;  ///< slot, for the provider roles
+  };
+  /// One provider at one tick: cumulative counters (windowed over the fast
+  /// SLO window) and the breaker gauge.
+  struct ProviderSample {
+    double retries = 0, timeouts = 0, deferrals = 0;
+    double breaker_open = 0;
+  };
+  /// One tick's samples, by provider slot. A provider slotted after the row
+  /// was taken counts as zero in it.
+  struct ProviderRow {
+    sim::SimTime at;
+    std::vector<ProviderSample> counts;
+  };
+
   void schedule_next();
-  SloInput extract_slo_input(const std::vector<MetricSample>& snapshot,
-                             sim::SimTime now) const;
+  void classify_new_series();
+  SeriesRole classify(const SeriesRef& ref);
+  uint32_t provider_slot(const std::string& provider);
+  SloInput extract_slo_input(sim::SimTime now) const;
   void run_watchdogs(sim::SimTime now, std::vector<HealthAlert>& out);
-  void score_providers(const std::vector<MetricSample>& snapshot,
-                       sim::SimTime now);
+  void score_providers(sim::SimTime now);
   void score_links();
   void publish_alert(const HealthAlert& alert);
+  void publish_gauges();
 
   sim::Engine* engine_;
   Telemetry* telemetry_;
   HealthConfig config_;
   SloEngine slo_;
   AnomalyDetector anomaly_;
-  std::function<std::vector<LinkProbe>()> link_probe_;
+  LinkProbeFn link_probe_;
 
   double horizon_s_ = 0.0;
   uint64_t ticks_ = 0;
@@ -142,14 +180,26 @@ class HealthMonitor {
   size_t open_now_ = 0;
   size_t stalled_now_ = 0;
 
-  /// Per-provider cumulative counters sampled over the fast window.
-  struct ProviderCounts {
-    double retries = 0, timeouts = 0, deferrals = 0;
-  };
-  std::deque<std::pair<sim::SimTime, std::map<std::string, ProviderCounts>>>
-      provider_history_;
+  std::vector<SeriesRef> view_;     ///< this tick's registry read
+  std::vector<SeriesRole> roles_;   ///< by SeriesRef::index
+
+  /// Providers are slotted in discovery order; provider_scores_ stays in
+  /// provider-name order, and score_slot_[i] is the slot of its entry i.
+  std::vector<uint32_t> score_slot_;
+  std::deque<ProviderRow> provider_history_;
   std::vector<ProviderScore> provider_scores_;
+
+  std::vector<LinkProbe> link_probes_;
   std::vector<LinkScore> link_scores_;
+
+  /// Instruments the tick publishes, resolved on first use and then set
+  /// through the registry's stable references.
+  std::vector<std::array<Gauge*, 2>> slo_gauges_;  ///< by objective: fast, slow
+  std::vector<Gauge*> provider_gauges_;           ///< by provider slot
+  std::vector<Gauge*> link_gauges_;               ///< parallel to link_scores_
+  Gauge* open_flows_gauge_ = nullptr;
+  Gauge* stalled_flows_gauge_ = nullptr;
+  Counter* ticks_counter_ = nullptr;
 };
 
 }  // namespace pico::telemetry::health

@@ -99,12 +99,25 @@ util::Quantiles FixedHistogram::quantiles() const {
   return q;
 }
 
+namespace {
+
+/// Label-key escaping: `\`, `,` and `=` are the key's own separators, so a
+/// value containing them cannot pass for a different label set.
+void append_key_part(std::string& key, const std::string& part) {
+  for (char c : part) {
+    if (c == '\\' || c == ',' || c == '=') key.push_back('\\');
+    key.push_back(c);
+  }
+}
+
+}  // namespace
+
 std::string MetricsRegistry::label_key(const Labels& labels) {
   std::string key;
   for (const auto& [k, v] : labels) {
-    key += k;
+    append_key_part(key, k);
     key.push_back('=');
-    key += v;
+    append_key_part(key, v);
     key.push_back(',');
   }
   return key;
@@ -119,10 +132,13 @@ MetricsRegistry::Series& MetricsRegistry::series_for(const std::string& name,
     fam.kind = kind;
     fam.help = help;
   }
-  assert(fam.kind == kind && "metric family re-registered with another kind");
-  Series& s = fam.series[label_key(labels)];
-  if (s.labels.empty() && !labels.empty()) s.labels = labels;
-  return s;
+  if (fam.kind != kind) ++kind_conflicts_;
+  auto [it, created] = fam.series.try_emplace(label_key(labels));
+  if (created) {
+    it->second.labels = labels;
+    it->second.index = next_index_++;
+  }
+  return it->second;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,
@@ -155,40 +171,76 @@ FixedHistogram& MetricsRegistry::histogram(const std::string& name,
   return *s.histogram;
 }
 
+template <typename Fn>
+void MetricsRegistry::for_each_series(Fn&& fn) const {
+  for (const auto& [name, fam] : families_) {
+    for (const auto& [key, series] : fam.series) {
+      bool has_kind = false;
+      switch (fam.kind) {
+        case MetricKind::Counter: has_kind = series.counter != nullptr; break;
+        case MetricKind::Gauge: has_kind = series.gauge != nullptr; break;
+        case MetricKind::Histogram:
+          has_kind = series.histogram != nullptr;
+          break;
+      }
+      if (has_kind) fn(name, fam, series);
+    }
+  }
+}
+
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::lock_guard lock(mu_);
   std::vector<MetricSample> out;
-  for (const auto& [name, fam] : families_) {
-    for (const auto& [key, series] : fam.series) {
-      MetricSample sample;
-      sample.name = name;
-      sample.kind = fam.kind;
-      sample.help = fam.help;
-      sample.labels = series.labels;
-      switch (fam.kind) {
-        case MetricKind::Counter:
-          sample.value = series.counter ? series.counter->value() : 0;
-          break;
-        case MetricKind::Gauge:
-          sample.value = series.gauge ? series.gauge->value() : 0;
-          break;
-        case MetricKind::Histogram: {
-          const FixedHistogram& h = *series.histogram;
-          sample.value = h.sum();
-          sample.count = h.count();
-          sample.p50 = h.quantile(0.50);
-          sample.p90 = h.quantile(0.90);
-          sample.max = h.max();
-          for (size_t i = 0; i < h.upper_bounds().size(); ++i) {
-            sample.buckets.emplace_back(h.upper_bounds()[i], h.cumulative(i));
-          }
-          break;
+  for_each_series([&](const std::string& name, const Family& fam,
+                      const Series& series) {
+    MetricSample sample;
+    sample.name = name;
+    sample.kind = fam.kind;
+    sample.help = fam.help;
+    sample.labels = series.labels;
+    switch (fam.kind) {
+      case MetricKind::Counter:
+        sample.value = series.counter->value();
+        break;
+      case MetricKind::Gauge:
+        sample.value = series.gauge->value();
+        break;
+      case MetricKind::Histogram: {
+        const FixedHistogram& h = *series.histogram;
+        sample.value = h.sum();
+        sample.count = h.count();
+        sample.p50 = h.quantile(0.50);
+        sample.p90 = h.quantile(0.90);
+        sample.max = h.max();
+        for (size_t i = 0; i < h.upper_bounds().size(); ++i) {
+          sample.buckets.emplace_back(h.upper_bounds()[i], h.cumulative(i));
         }
+        break;
       }
-      out.push_back(std::move(sample));
     }
-  }
+    out.push_back(std::move(sample));
+  });
   return out;
+}
+
+void MetricsRegistry::view(std::vector<SeriesRef>* out) const {
+  out->clear();
+  std::lock_guard lock(mu_);
+  for_each_series([&](const std::string& name, const Family& fam,
+                      const Series& series) {
+    double value = 0;
+    switch (fam.kind) {
+      case MetricKind::Counter: value = series.counter->value(); break;
+      case MetricKind::Gauge: value = series.gauge->value(); break;
+      case MetricKind::Histogram: value = series.histogram->sum(); break;
+    }
+    out->push_back({&name, &series.labels, fam.kind, series.index, value});
+  });
+}
+
+uint64_t MetricsRegistry::kind_conflicts() const {
+  std::lock_guard lock(mu_);
+  return kind_conflicts_;
 }
 
 size_t MetricsRegistry::family_count() const {

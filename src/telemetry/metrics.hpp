@@ -4,7 +4,8 @@
 // transfer_bytes_total{src="picoprobe-user",dst="alcf-eagle"}) and the
 // registry snapshots them deterministically — families sorted by name, series
 // sorted by label set — so Prometheus text exposition is byte-stable across
-// runs with the same seed.
+// runs with the same seed. Periodic readers (the health plane) take a view()
+// instead: the same order, no copies, one scalar per series.
 //
 // Thread safety: registration takes the registry mutex; increments on an
 // already-registered instrument are lock-free (atomic CAS), so data-plane
@@ -111,11 +112,24 @@ struct MetricSample {
   std::vector<std::pair<double, uint64_t>> buckets;  ///< (le, cumulative)
 };
 
+/// One series in a view(): pointers into the registry plus its live scalar.
+/// `name` and `labels` are written once, when the series is created, and
+/// stay valid (and unchanged) for the registry's lifetime.
+struct SeriesRef {
+  const std::string* name = nullptr;
+  const Labels* labels = nullptr;
+  MetricKind kind = MetricKind::Counter;
+  uint32_t index = 0;  ///< dense, assigned at creation; series are never removed
+  double value = 0;    ///< counter/gauge value; histogram sum
+};
+
 class MetricsRegistry {
  public:
   /// Find-or-create. The returned reference is stable for the registry's
-  /// lifetime. Registering the same name with a different kind is an error
-  /// (asserted in debug, first registration wins otherwise).
+  /// lifetime, so callers may resolve an instrument once and keep the
+  /// reference. Asking for a family under another kind than its first
+  /// registration counts a kind_conflicts() and still returns a working
+  /// instrument, but export and view() show only the family's own kind.
   Counter& counter(const std::string& name, const std::string& help,
                    const Labels& labels = {});
   Gauge& gauge(const std::string& name, const std::string& help,
@@ -125,7 +139,15 @@ class MetricsRegistry {
                             std::vector<double> upper_bounds = {});
 
   /// Deterministic snapshot: families sorted by name, series by label set.
+  /// A deep copy for export (Prometheus, telemetry bundles, reports).
   std::vector<MetricSample> snapshot() const;
+
+  /// Zero-copy read in snapshot() order: clears `out` (keeping its capacity)
+  /// and fills one SeriesRef per series.
+  void view(std::vector<SeriesRef>* out) const;
+
+  /// Registrations that named a family under a different kind.
+  uint64_t kind_conflicts() const;
 
   /// Prometheus text exposition format (counters rendered as their family
   /// name verbatim — callers follow the *_total convention when naming).
@@ -137,6 +159,7 @@ class MetricsRegistry {
  private:
   struct Series {
     Labels labels;
+    uint32_t index = 0;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<FixedHistogram> histogram;
@@ -150,9 +173,16 @@ class MetricsRegistry {
   static std::string label_key(const Labels& labels);
   Series& series_for(const std::string& name, const std::string& help,
                      MetricKind kind, const Labels& labels);
+  /// The one traversal behind snapshot() and view(): families by name, then
+  /// series by label key, skipping a series that lacks its family's
+  /// instrument (a kind conflict). Caller holds mu_.
+  template <typename Fn>
+  void for_each_series(Fn&& fn) const;
 
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;
+  uint32_t next_index_ = 0;
+  uint64_t kind_conflicts_ = 0;
 };
 
 }  // namespace pico::telemetry

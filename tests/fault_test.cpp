@@ -13,6 +13,7 @@
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
 #include "telemetry/export.hpp"
+#include "util/crc64.hpp"
 
 namespace pico::fault {
 namespace {
@@ -300,11 +301,23 @@ CampaignConfig acceptance_config() {
   return cfg;
 }
 
-CampaignResult run_acceptance(const std::string& tag) {
+/// One acceptance campaign plus CRC-64 fingerprints of what its health plane
+/// left behind: the health report and the full Prometheus exposition.
+struct AcceptanceRun {
+  CampaignResult result;
+  uint64_t health_crc = 0;
+  uint64_t prom_crc = 0;
+  size_t alerts = 0;
+  size_t provider_scores = 0;
+};
+
+AcceptanceRun run_acceptance(const std::string& tag) {
   FacilityConfig fc = fault_test_config(tag);
   fc.seed = 4242;
   Facility facility(fc);
-  CampaignResult result = run_campaign(facility, acceptance_config());
+  AcceptanceRun run;
+  run.result = run_campaign(facility, acceptance_config());
+  const CampaignResult& result = run.result;
 
   // Zero double-publish: every eventually-successful flow owns exactly one
   // search record (the Publish subject is the document id), and no label
@@ -329,11 +342,18 @@ CampaignResult run_acceptance(const std::string& tag) {
               exempt.end())
         << "flight ring left open: " << open.subject;
   }
-  return result;
+
+  const telemetry::health::HealthReport health = facility.health().report();
+  run.health_crc = util::crc64(health.to_json().dump(2));
+  run.prom_crc = util::crc64(facility.telemetry().metrics.to_prometheus());
+  run.alerts = health.alerts.size();
+  run.provider_scores = health.providers.size();
+  return run;
 }
 
 TEST(ChaosCampaign, AcceptanceScenarioRecoversAtLeast95Percent) {
-  CampaignResult result = run_acceptance("acceptance");
+  const AcceptanceRun run = run_acceptance("acceptance");
+  const CampaignResult& result = run.result;
   const RobustnessStats& rb = result.robustness;
   size_t logical = result.in_window.size() + result.late.size();
 
@@ -357,11 +377,19 @@ TEST(ChaosCampaign, AcceptanceScenarioRecoversAtLeast95Percent) {
   EXPECT_NE(report.find("eventually succeeded"), std::string::npos);
   EXPECT_NE(report.find("MTTR"), std::string::npos);
   EXPECT_NE(report.find("Circuit breakers"), std::string::npos);
+
+  // The health plane's outputs are pinned byte for byte: a change that
+  // deterministically alters an alert, score or exported series fails here
+  // even though a same-seed re-run would still agree with itself.
+  EXPECT_GE(run.alerts, 1u);
+  EXPECT_GE(run.provider_scores, 1u);
+  EXPECT_EQ(run.health_crc, 0x4036fb2961e78ac7ull) << std::hex << run.health_crc;
+  EXPECT_EQ(run.prom_crc, 0x188fb0ab45f75818ull) << std::hex << run.prom_crc;
 }
 
 TEST(ChaosCampaign, SameSeedProducesByteIdenticalRobustnessReports) {
-  CampaignResult a = run_acceptance("det_a");
-  CampaignResult b = run_acceptance("det_b");
+  const CampaignResult a = run_acceptance("det_a").result;
+  const CampaignResult b = run_acceptance("det_b").result;
   EXPECT_EQ(render_robustness(a), render_robustness(b));
   EXPECT_EQ(flows_csv(a), flows_csv(b));
 }

@@ -314,12 +314,12 @@ TEST(SloEngine, TimeToFirstResultFiresOnceAndOnlyWhenStarted) {
 
 // ------------------------------------------------------ anomaly detector ----
 
-MetricSample counter_sample(const std::string& name, double value) {
-  MetricSample s;
-  s.name = name;
-  s.kind = MetricKind::Counter;
-  s.value = value;
-  return s;
+/// Feeds the detector one view of `reg`, as HealthMonitor::tick() does.
+std::vector<HealthAlert> observe(AnomalyDetector& det,
+                                 const MetricsRegistry& reg, double at_s) {
+  std::vector<SeriesRef> view;
+  reg.view(&view);
+  return det.observe(t(at_s), view);
 }
 
 AnomalyConfig tight_anomaly() {
@@ -333,69 +333,80 @@ AnomalyConfig tight_anomaly() {
 
 TEST(Anomaly, SpikeAfterWarmupAlertsOncePerEpisode) {
   AnomalyDetector det(tight_anomaly());
-  double cum = 0;
+  MetricsRegistry reg;
+  Counter& dropped = reg.counter("frames_dropped_total", "dropped frames");
   // Steady trickle of 1/tick through warmup.
   for (int i = 0; i < 6; ++i) {
-    cum += 1;
-    auto alerts = det.observe(
-        t(i * 15.0), {counter_sample("frames_dropped_total", cum)});
+    dropped.inc(1);
+    auto alerts = observe(det, reg, i * 15.0);
     EXPECT_TRUE(alerts.empty()) << "tick " << i;
   }
   // 80-frame spike: far above the learned ~1/tick baseline.
-  cum += 80;
-  auto alerts =
-      det.observe(t(90), {counter_sample("frames_dropped_total", cum)});
+  dropped.inc(80);
+  auto alerts = observe(det, reg, 90);
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].kind, "anomaly");
   EXPECT_EQ(alerts[0].subject, "frames_dropped_total");
   // Sustained spike: the hot flag dedups the episode.
-  cum += 80;
-  EXPECT_TRUE(
-      det.observe(t(105), {counter_sample("frames_dropped_total", cum)})
-          .empty());
+  dropped.inc(80);
+  EXPECT_TRUE(observe(det, reg, 105).empty());
   // Back to the trickle, then a fresh spike re-alerts.
   for (int i = 0; i < 4; ++i) {
-    cum += 1;
-    det.observe(t(120 + i * 15.0),
-                {counter_sample("frames_dropped_total", cum)});
+    dropped.inc(1);
+    observe(det, reg, 120 + i * 15.0);
   }
-  cum += 400;
-  EXPECT_EQ(
-      det.observe(t(200), {counter_sample("frames_dropped_total", cum)}).size(),
-      1u);
+  dropped.inc(400);
+  EXPECT_EQ(observe(det, reg, 200).size(), 1u);
   EXPECT_EQ(det.alerts_fired(), 2u);
 }
 
 TEST(Anomaly, SeriesBornAfterQuietWarmupIsItselfAnomalous) {
   AnomalyDetector det(tight_anomaly());
+  MetricsRegistry reg;
   // The facility ticks quietly with no watched series at all.
-  for (int i = 0; i < 5; ++i) det.observe(t(i * 15.0), {});
+  for (int i = 0; i < 5; ++i) observe(det, reg, i * 15.0);
   // First spill counter ever — born mid-campaign, clearly chaos.
-  auto alerts = det.observe(t(90), {counter_sample("stream_spills_total", 5)});
+  reg.counter("stream_spills_total", "spills").inc(5);
+  auto alerts = observe(det, reg, 90);
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].subject, "stream_spills_total");
 }
 
 TEST(Anomaly, SeriesPresentFromStartSeedsBaselineSilently) {
   AnomalyDetector det(tight_anomaly());
-  auto alerts =
-      det.observe(t(0), {counter_sample("frames_dropped_total", 100)});
-  EXPECT_TRUE(alerts.empty());
+  MetricsRegistry reg;
+  reg.counter("frames_dropped_total", "dropped frames").inc(100);
+  EXPECT_TRUE(observe(det, reg, 0).empty());
 }
 
 TEST(Anomaly, UnwatchedFamiliesAndGaugesAreIgnored) {
   AnomalyDetector det(tight_anomaly());
-  MetricSample gauge;
-  gauge.name = "frames_dropped_total";  // watched name but gauge kind
-  gauge.kind = MetricKind::Gauge;
-  gauge.value = 1000;
+  MetricsRegistry reg;
+  // Watched name but gauge kind.
+  reg.gauge("frames_dropped_total", "not a counter").set(1000);
+  Counter& polls = reg.counter("flow_polls_total", "unwatched");
   for (int i = 0; i < 8; ++i) {
-    auto alerts = det.observe(
-        t(i * 15.0),
-        {gauge, counter_sample("flow_polls_total", i * 1000.0)});
-    EXPECT_TRUE(alerts.empty());
+    EXPECT_TRUE(observe(det, reg, i * 15.0).empty());
+    polls.inc(1000);
   }
   EXPECT_EQ(det.series_tracked(), 0u);
+}
+
+TEST(Anomaly, SubjectCarriesLabelsAndEachSeriesKeepsItsOwnBaseline) {
+  AnomalyDetector det(tight_anomaly());
+  MetricsRegistry reg;
+  Counter& east = reg.counter("frames_dropped_total", "d", {{"site", "east"}});
+  Counter& west = reg.counter("frames_dropped_total", "d", {{"site", "west"}});
+  for (int i = 0; i < 6; ++i) {
+    east.inc(1);
+    west.inc(1);
+    EXPECT_TRUE(observe(det, reg, i * 15.0).empty());
+  }
+  west.inc(80);
+  auto alerts = observe(det, reg, 90);
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].subject, "frames_dropped_total,site=west");
+  EXPECT_EQ(det.series_tracked(), 2u);
 }
 
 // --------------------------------------------------------- health monitor ----
@@ -524,8 +535,8 @@ TEST(HealthMonitor, ProviderScoresDegradeWithBreakerAndRetries) {
 TEST(HealthMonitor, LinkProbeScoresUtilizationAndPartitions) {
   MonitorHarness h;
   HealthMonitor monitor(h.engine, h.telemetry, HealthConfig{});
-  monitor.set_link_probe([] {
-    return std::vector<LinkProbe>{
+  monitor.set_link_probe([](std::vector<LinkProbe>& probes) {
+    probes = {
         {"user-switch", true, 0.5},
         {"backbone-eagle", false, 0.0},
     };

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -23,6 +25,7 @@
 #include "telemetry/telemetry.hpp"
 #include "telemetry/tracer.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 #include "recorded_once.hpp"
 
 namespace pico::telemetry {
@@ -159,6 +162,164 @@ TEST(Metrics, HistogramQuantileEmptyAndOverflowEdgeCases) {
   double nan_q = h.quantile(std::nan(""));
   EXPECT_FALSE(std::isnan(nan_q));
   EXPECT_DOUBLE_EQ(nan_q, h.quantile(1.0));
+}
+
+TEST(Metrics, KindConflictNeverCrashesExport) {
+  MetricsRegistry reg;
+  reg.histogram("x_seconds", "x", {{"a", "1"}}, {1, 2}).observe(1.5);
+  // The same family asked for as a counter, on a new series and on the
+  // histogram's own series: both calls still hand back working instruments.
+  Counter& fresh = reg.counter("x_seconds", "x", {{"a", "2"}});
+  Counter& shared = reg.counter("x_seconds", "x", {{"a", "1"}});
+  fresh.inc(3);
+  shared.inc(4);
+  EXPECT_EQ(fresh.value(), 3);
+  EXPECT_EQ(shared.value(), 4);
+  // And the reverse: a histogram asked for on a counter family.
+  reg.counter("y_total", "y").inc();
+  reg.histogram("y_total", "y", {{"b", "1"}}).observe(2.0);
+  EXPECT_EQ(reg.kind_conflicts(), 3u);
+
+  // Export and the view show each family only in its first-registered kind.
+  auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].name, "x_seconds");
+  EXPECT_EQ(snap[0].kind, MetricKind::Histogram);
+  EXPECT_EQ(snap[0].labels.at("a"), "1");
+  EXPECT_DOUBLE_EQ(snap[0].value, 1.5);
+  EXPECT_EQ(snap[1].name, "y_total");
+  EXPECT_EQ(snap[1].kind, MetricKind::Counter);
+  EXPECT_TRUE(snap[1].labels.empty());
+
+  std::vector<SeriesRef> view;
+  reg.view(&view);
+  ASSERT_EQ(view.size(), 2u);
+  EXPECT_DOUBLE_EQ(view[0].value, 1.5);
+  EXPECT_DOUBLE_EQ(view[1].value, 1.0);
+
+  const std::string text = reg.to_prometheus();
+  EXPECT_NE(text.find("# TYPE x_seconds histogram\n"), std::string::npos);
+  EXPECT_NE(text.find("x_seconds_sum{a=\"1\"} 1.5\n"), std::string::npos);
+  EXPECT_EQ(text.find("a=\"2\""), std::string::npos);
+  EXPECT_NE(text.find("y_total 1\n"), std::string::npos);
+  EXPECT_EQ(text.find("b=\"1\""), std::string::npos);
+}
+
+TEST(Metrics, LabelSetsThatJoinAlikeStayDistinctSeries) {
+  MetricsRegistry reg;
+  // Joined as "k=v," without escaping, each pair below would be one key.
+  Counter& joined = reg.counter("c_total", "c", {{"a", "1,b=2"}});
+  Counter& split = reg.counter("c_total", "c", {{"a", "1"}, {"b", "2"}});
+  Counter& key_eq = reg.counter("c_total", "c", {{"k=v", "1"}});
+  Counter& value_eq = reg.counter("c_total", "c", {{"k", "v=1"}});
+  Counter& slash = reg.counter("c_total", "c", {{"s", "x\\"}, {"t", "y"}});
+  Counter& slash_split = reg.counter("c_total", "c", {{"s", "x\\,t=y"}});
+  const std::set<const Counter*> distinct = {&joined, &split,  &key_eq,
+                                             &value_eq, &slash, &slash_split};
+  EXPECT_EQ(distinct.size(), 6u);
+  joined.inc(2);
+  split.inc(4);
+  EXPECT_EQ(reg.snapshot().size(), 6u);
+
+  const std::string text = reg.to_prometheus();
+  EXPECT_NE(text.find("c_total{a=\"1,b=2\"} 2\n"), std::string::npos);
+  EXPECT_NE(text.find("c_total{a=\"1\",b=\"2\"} 4\n"), std::string::npos);
+  // Re-registering a label set still finds its own series.
+  EXPECT_EQ(&reg.counter("c_total", "c", {{"a", "1,b=2"}}), &joined);
+  EXPECT_EQ(&reg.counter("c_total", "c", {{"a", "1"}, {"b", "2"}}), &split);
+}
+
+TEST(Metrics, ViewMatchesSnapshot) {
+  MetricsRegistry reg;
+  reg.counter("jobs_total", "jobs", {{"state", "ok"}}).inc(3);     // index 0
+  reg.counter("jobs_total", "jobs", {{"state", "failed"}}).inc();  // 1
+  reg.gauge("depth", "queue depth").set(7);                        // 2
+  FixedHistogram& lat =
+      reg.histogram("lat_seconds", "latency", {{"step", "a"}}, {1, 2});  // 3
+  lat.observe(1.5);
+  lat.observe(0.25);
+
+  std::vector<SeriesRef> view;
+  auto expect_view_matches_snapshot = [&] {
+    reg.view(&view);
+    const auto snap = reg.snapshot();
+    ASSERT_EQ(view.size(), snap.size());
+    for (size_t i = 0; i < snap.size(); ++i) {
+      EXPECT_EQ(*view[i].name, snap[i].name) << i;
+      EXPECT_EQ(*view[i].labels, snap[i].labels) << i;
+      EXPECT_EQ(view[i].kind, snap[i].kind) << i;
+      EXPECT_DOUBLE_EQ(view[i].value, snap[i].value) << i;  // histogram: sum
+    }
+  };
+  expect_view_matches_snapshot();
+  std::vector<uint32_t> indices;
+  for (const SeriesRef& s : view) indices.push_back(s.index);
+  EXPECT_EQ(indices, (std::vector<uint32_t>{2, 1, 0, 3}));
+  EXPECT_DOUBLE_EQ(view[3].value, 1.75);
+
+  // A series registered after one view appears in the next at its sorted
+  // position, with the next dense index; earlier pointers stay valid.
+  const std::string* depth_name = view[0].name;
+  reg.counter("jobs_total", "jobs", {{"state", "aborted"}}).inc(2);
+  lat.observe(1.0);
+  expect_view_matches_snapshot();
+  ASSERT_EQ(view.size(), 5u);
+  EXPECT_EQ(view[0].name, depth_name);
+  EXPECT_EQ(*view[1].name, "jobs_total");
+  EXPECT_EQ(view[1].labels->at("state"), "aborted");
+  EXPECT_EQ(view[1].index, 4u);
+  EXPECT_DOUBLE_EQ(view[1].value, 2.0);
+  EXPECT_DOUBLE_EQ(view[4].value, 2.75);
+}
+
+TEST(Metrics, ViewStressConcurrentRegistration) {
+  MetricsRegistry reg;
+  constexpr size_t kTasks = 64;
+  constexpr size_t kSeriesPerTask = 48;
+  std::vector<std::future<void>> done;
+  for (size_t task = 0; task < kTasks; ++task) {
+    done.push_back(util::shared_pool().submit([&reg, task] {
+      for (size_t i = 0; i < kSeriesPerTask; ++i) {
+        reg.counter("stress_total", "per-task series",
+                    {{"task", std::to_string(task)}, {"i", std::to_string(i)}})
+            .inc();
+        reg.counter("stress_bumps_total", "shared counter").inc();
+      }
+    }));
+  }
+  // Meanwhile the caller keeps taking views and reads every name and label
+  // set through the view's pointers.
+  auto all_done = [&] {
+    for (auto& f : done) {
+      if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<SeriesRef> view;
+  size_t views = 0;
+  size_t bytes_read = 0;
+  do {
+    reg.view(&view);
+    ++views;
+    for (const SeriesRef& s : view) {
+      bytes_read += s.name->size();
+      for (const auto& [k, v] : *s.labels) bytes_read += k.size() + v.size();
+    }
+  } while (!all_done());
+  for (auto& f : done) f.get();
+  EXPECT_GT(views, 0u);
+  EXPECT_GT(bytes_read, 0u);
+
+  reg.view(&view);
+  ASSERT_EQ(view.size(), kTasks * kSeriesPerTask + 1);
+  std::set<uint32_t> indices;
+  for (const SeriesRef& s : view) indices.insert(s.index);
+  EXPECT_EQ(indices.size(), view.size());
+  EXPECT_EQ(*indices.rbegin(), view.size() - 1);  // dense
+  EXPECT_EQ(*view[0].name, "stress_bumps_total");
+  EXPECT_DOUBLE_EQ(view[0].value, static_cast<double>(kTasks * kSeriesPerTask));
 }
 
 // -------------------------------------------------------------- tracer ----
