@@ -13,17 +13,11 @@ using namespace pico;
 namespace {
 
 core::CampaignResult run_policy(const flow::BackoffPolicy& policy) {
-  core::FacilityConfig fc;
+  auto [fc, cfg] = core::paper_experiment(core::UseCase::Hyperspectral);
   fc.artifact_dir = "bench-artifacts/backoff";
-  fc.seed = 20230407;
   fc.flow.backoff = policy;
-  core::Facility facility(fc);
-  core::CampaignConfig cfg;
-  cfg.use_case = core::UseCase::Hyperspectral;
-  cfg.start_period_s = 30;
   cfg.duration_s = 1800;  // half-hour campaign is enough for stable medians
-  cfg.file_bytes = 91 * 1000 * 1000;
-  cfg.label_prefix = "bk";
+  core::Facility facility(fc);
   return core::run_campaign(facility, cfg);
 }
 

@@ -20,19 +20,12 @@ struct Config {
 };
 
 core::CampaignResult run_with(const Config& config) {
-  core::FacilityConfig fc;
+  auto [fc, cfg] = core::paper_experiment(core::UseCase::Spatiotemporal);
   fc.artifact_dir = "bench-artifacts/bandwidth";
-  fc.seed = 20230408;
   fc.user_switch_bps = config.switch_bps;
   fc.cost.per_flow_rate_cap_bps = config.per_flow_cap_bps;
-  fc.cost.provision_delay_s = 35.0;
-  core::Facility facility(fc);
-  core::CampaignConfig cfg;
-  cfg.use_case = core::UseCase::Spatiotemporal;
-  cfg.start_period_s = 120;
   cfg.duration_s = 1800;
-  cfg.file_bytes = 1200 * 1000 * 1000;
-  cfg.label_prefix = "bw";
+  core::Facility facility(fc);
   return core::run_campaign(facility, cfg);
 }
 

@@ -41,22 +41,12 @@ Measured measure(const compress::Codec& codec, const compress::Bytes& input) {
   return m;
 }
 
-core::CampaignResult run_with_ratio(const std::string& codec, double ratio) {
-  core::FacilityConfig fc;
+/// The uncompressed spatiotemporal campaign the projections start from.
+core::CampaignResult baseline_campaign() {
+  auto [fc, cfg] = core::paper_experiment(core::UseCase::Spatiotemporal);
   fc.artifact_dir = "bench-artifacts/compression";
-  fc.seed = 20230408;
-  fc.cost.provision_delay_s = 35.0;
-  core::Facility facility(fc);
-  core::CampaignConfig cfg;
-  cfg.use_case = core::UseCase::Spatiotemporal;
-  cfg.start_period_s = 120;
   cfg.duration_s = 1800;
-  cfg.file_bytes = 1200 * 1000 * 1000;
-  cfg.codec = codec;
-  cfg.label_prefix = "cz";
-  // The campaign uses virtual files; carry the measured ratio into the flow
-  // input via the facility-level transfer request default.
-  (void)ratio;
+  core::Facility facility(fc);
   return core::run_campaign(facility, cfg);
 }
 
@@ -140,7 +130,7 @@ int main() {
   // End-to-end: the campaign with a codec on the wire. Virtual files use the
   // flow's assumed ratio = 1 (conservative), so compare against the measured
   // ratio analytically.
-  core::CampaignResult baseline = run_with_ratio("", 1.0);
+  core::CampaignResult baseline = baseline_campaign();
   double xfer = baseline.step_active_stats("Transfer").median();
   std::printf("\nend-to-end (spatiotemporal campaign, 1200 MB files):\n");
   std::printf("  baseline transfer median: %.1f s\n", xfer);

@@ -18,24 +18,18 @@ struct PeriodResult {
 };
 
 PeriodResult run_period(double period_s, int polaris_nodes) {
-  core::FacilityConfig fc;
+  auto [fc, cfg] = core::paper_experiment(core::UseCase::Spatiotemporal);
   fc.artifact_dir = "bench-artifacts/concurrency";
-  fc.seed = 20230408;
   fc.polaris_nodes = polaris_nodes;
   fc.compute_max_blocks = polaris_nodes;
-  fc.cost.provision_delay_s = 35.0;
   // Instrument-side staging must not serialize drops for this sweep: assume
   // an NVMe staging path (fast local copy, short debounce) so the network is
   // the binding constraint being measured.
   fc.cost.staging_rate_Bps = 400e6;
   fc.cost.watcher_debounce_s = 3.0;
-  core::Facility facility(fc);
-  core::CampaignConfig cfg;
-  cfg.use_case = core::UseCase::Spatiotemporal;
   cfg.start_period_s = period_s;
   cfg.duration_s = 1800;
-  cfg.file_bytes = 1200 * 1000 * 1000;
-  cfg.label_prefix = "cc";
+  core::Facility facility(fc);
   PeriodResult out;
   out.campaign = core::run_campaign(facility, cfg);
   out.switch_utilization =

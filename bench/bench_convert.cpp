@@ -21,19 +21,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 core::CampaignResult run_campaign_with(bool naive, bool parallel = false) {
-  core::FacilityConfig fc;
+  auto [fc, cfg] = core::paper_experiment(core::UseCase::Spatiotemporal);
   fc.artifact_dir = "bench-artifacts/convert";
-  fc.seed = 20230408;
-  fc.cost.provision_delay_s = 35.0;
-  core::Facility facility(fc);
-  core::CampaignConfig cfg;
-  cfg.use_case = core::UseCase::Spatiotemporal;
-  cfg.start_period_s = 120;
   cfg.duration_s = 1800;
-  cfg.file_bytes = 1200 * 1000 * 1000;
   cfg.naive_convert = naive;
   cfg.parallel_convert = parallel;
-  cfg.label_prefix = naive ? "cv-naive" : parallel ? "cv-par" : "cv-fast";
+  core::Facility facility(fc);
   return core::run_campaign(facility, cfg);
 }
 

@@ -178,12 +178,10 @@ struct CampaignRun {
 };
 
 core::FacilityConfig campaign_facility_config() {
-  // bench_table1's spatiotemporal calibration (Sec. 3.3 queue conditions).
-  core::FacilityConfig fc;
+  // The paper's spatiotemporal calibration (Sec. 3.3 queue conditions).
+  core::FacilityConfig fc =
+      core::paper_experiment(core::UseCase::Spatiotemporal).facility;
   fc.artifact_dir = "bench-artifacts/integrity";
-  fc.seed = 20230408;
-  fc.cost.provision_delay_s = 35.0;
-  fc.cost.provision_jitter_s = 10.0;
   fc.transfer_max_retries = 8;
   // Events mode so Transfer steps stream chunked (the resumable wire format).
   fc.flow.completion_mode = flow::CompletionMode::Events;
@@ -191,12 +189,10 @@ core::FacilityConfig campaign_facility_config() {
 }
 
 core::CampaignConfig campaign_config(double duration_s) {
-  core::CampaignConfig cfg;
-  cfg.use_case = core::UseCase::Spatiotemporal;
-  cfg.start_period_s = 120;
+  core::CampaignConfig cfg =
+      core::paper_experiment(core::UseCase::Spatiotemporal).campaign;
   cfg.duration_s = duration_s;
-  cfg.file_bytes = 1200 * 1000 * 1000;
-  cfg.label_prefix = "integ";
+  cfg.label_prefix = "integ";  // the recorded index fingerprints name it
   cfg.streaming_steps = {"Analyze"};  // chunked transfers + cut-through
   return cfg;
 }
@@ -378,6 +374,7 @@ int main(int argc, char** argv) {
       baseline.wire_bytes > 0 ? retry_bytes_saved / baseline.wire_bytes : 0.0,
       index_match ? "byte-identical" : "DIVERGED");
 
+  const core::CampaignConfig campaign = campaign_config(duration_s);
   h.results = util::Json::object({
       {"duration_s", duration_s},
       {"resume_acceptance",
@@ -398,8 +395,8 @@ int main(int argc, char** argv) {
       {"campaign",
        util::Json::object({
            {"use_case", "spatiotemporal"},
-           {"file_bytes", static_cast<int64_t>(1200) * 1000 * 1000},
-           {"start_period_s", 120.0},
+           {"file_bytes", campaign.file_bytes},
+           {"start_period_s", campaign.start_period_s},
            {"runs", util::Json::object({{"baseline", run_json(baseline)},
                                         {"chaos_resume", run_json(chaos_resume)},
                                         {"chaos_restart",

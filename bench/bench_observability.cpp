@@ -40,39 +40,6 @@ namespace {
 
 // ----------------------------------------------------------- overhead ----
 
-core::FacilityConfig table1_config(bool health_on) {
-  core::FacilityConfig fc;
-  // The overhead arms stage ~1 GB of payload per campaign; keep that on
-  // tmpfs so ext4 writeback jitter doesn't drown the sub-1% signal being
-  // measured. Falls back to the usual artifact tree where /dev/shm is absent.
-  fc.artifact_dir = std::filesystem::is_directory("/dev/shm")
-                        ? "/dev/shm/pico-bench-observability"
-                        : "bench-artifacts/observability";
-  fc.seed = 20230407;
-  fc.cost.provision_delay_s = 100.0;
-  fc.cost.provision_jitter_s = 10.0;
-  fc.health.enabled = health_on;
-  fc.health.flight.enabled = health_on;
-  return fc;
-}
-
-core::CampaignConfig table1_campaign(bool hyper, double duration_s) {
-  core::CampaignConfig cfg;
-  cfg.duration_s = duration_s;
-  cfg.real_payloads = true;
-  cfg.file_bytes = 8 * 1000 * 1000;  // scaled-down-but-real acquisitions
-  if (hyper) {
-    cfg.use_case = core::UseCase::Hyperspectral;
-    cfg.start_period_s = 30;
-    cfg.label_prefix = "hyper";
-  } else {
-    cfg.use_case = core::UseCase::Spatiotemporal;
-    cfg.start_period_s = 120;
-    cfg.label_prefix = "spatio";
-  }
-  return cfg;
-}
-
 struct OverheadRun {
   std::string name;
   double off_s = 0;
@@ -81,11 +48,23 @@ struct OverheadRun {
   size_t failed_flows = 0;  ///< summed over every timed campaign
 };
 
-/// Wall-clock seconds for one full campaign on a fresh facility.
+/// Wall-clock seconds for one full Table-1 campaign on a fresh facility.
 double time_campaign(bool hyper, bool health_on, double duration_s,
                      OverheadRun* run) {
-  core::Facility facility(table1_config(health_on));
-  core::CampaignConfig cfg = table1_campaign(hyper, duration_s);
+  auto [fc, cfg] = core::paper_experiment(
+      hyper ? core::UseCase::Hyperspectral : core::UseCase::Spatiotemporal);
+  // The overhead arms stage ~1 GB of payload per campaign; keep that on
+  // tmpfs so ext4 writeback jitter doesn't drown the sub-1% signal being
+  // measured. Falls back to the usual artifact tree where /dev/shm is absent.
+  fc.artifact_dir = std::filesystem::is_directory("/dev/shm")
+                        ? "/dev/shm/pico-bench-observability"
+                        : "bench-artifacts/observability";
+  fc.health.enabled = health_on;
+  fc.health.flight.enabled = health_on;
+  cfg.duration_s = duration_s;
+  cfg.real_payloads = true;
+  cfg.file_bytes = 8 * 1000 * 1000;  // scaled-down-but-real acquisitions
+  core::Facility facility(fc);
   const double t0 = bench::now_s();
   core::CampaignResult result = core::run_campaign(facility, cfg);
   const double t1 = bench::now_s();

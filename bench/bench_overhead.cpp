@@ -90,34 +90,13 @@ bool timing_equal_ns(const flow::RunTiming& a, const flow::RunTiming& b) {
 
 ModeResult run_mode(const ModeSpec& mode, core::UseCase use_case,
                     double duration_s) {
-  // Fresh facility per run, with bench_table1's per-campaign calibration
+  // Fresh facility per run, with the paper's per-campaign calibration
   // (independent experiments, different Polaris queue conditions).
-  core::FacilityConfig fc;
+  auto [fc, cfg] = core::paper_experiment(use_case);
   fc.artifact_dir = "bench-artifacts/overhead";
-  if (use_case == core::UseCase::Hyperspectral) {
-    fc.seed = 20230407;
-    fc.cost.provision_delay_s = 100.0;
-    fc.cost.provision_jitter_s = 10.0;
-  } else {
-    fc.seed = 20230408;
-    fc.cost.provision_delay_s = 35.0;
-    fc.cost.provision_jitter_s = 10.0;
-  }
   fc.flow.completion_mode = mode.completion;
   if (mode.adaptive_backoff) fc.flow.backoff = flow::BackoffPolicy::adaptive();
-
-  core::CampaignConfig cfg;
-  cfg.use_case = use_case;
   cfg.duration_s = duration_s;
-  if (use_case == core::UseCase::Hyperspectral) {
-    cfg.start_period_s = 30;
-    cfg.file_bytes = 91 * 1000 * 1000;
-    cfg.label_prefix = "hyper";
-  } else {
-    cfg.start_period_s = 120;
-    cfg.file_bytes = 1200 * 1000 * 1000;
-    cfg.label_prefix = "spatio";
-  }
   if (mode.streaming) cfg.streaming_steps = {"Analyze"};
 
   core::Facility facility(fc);

@@ -26,6 +26,19 @@ std::string use_case_name(UseCase u) {
   return "?";
 }
 
+PaperExperiment paper_experiment(UseCase use_case) {
+  const bool hyper = use_case == UseCase::Hyperspectral;
+  PaperExperiment e;
+  e.facility.seed = hyper ? 20230407 : 20230408;
+  e.facility.cost.provision_delay_s = hyper ? 100.0 : 35.0;
+  e.facility.cost.provision_jitter_s = 10.0;
+  e.campaign.use_case = use_case;
+  e.campaign.start_period_s = hyper ? 30 : 120;
+  e.campaign.file_bytes = (hyper ? 91 : 1200) * int64_t{1000 * 1000};
+  e.campaign.label_prefix = hyper ? "hyper" : "spatio";
+  return e;
+}
+
 util::SampleStats CampaignResult::runtime_stats() const {
   util::SampleStats s;
   for (const auto& f : in_window) s.add(f.timing.total_s());

@@ -85,6 +85,19 @@ struct CampaignConfig {
   bool real_payloads = false;
 };
 
+/// The paper's controlled 1-hour experiment for one use case (Sec. 3.3,
+/// Table 1 / Fig. 4): the facility and campaign calibration every Table-1
+/// reproduction and ablation starts from. Each experiment ran on a fresh
+/// facility against its own Polaris queue conditions: the hyperspectral
+/// maximum of 181 s implies a long first-allocation wait, the
+/// spatiotemporal maximum of 274 s a short one. The caller sets
+/// `facility.artifact_dir` and overrides only what it varies.
+struct PaperExperiment {
+  FacilityConfig facility;
+  CampaignConfig campaign;
+};
+PaperExperiment paper_experiment(UseCase use_case);
+
 struct CompletedFlow {
   flow::RunId id;
   std::string label;

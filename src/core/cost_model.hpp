@@ -10,7 +10,7 @@
 //   - publication ~1.2 s reproduces the cheap login-node ingest.
 //
 // The campaign bench prints these alongside the paper's numbers; tune here,
-// re-run bench_table1, compare.
+// re-run bench_paper, compare.
 #include <cstdint>
 
 #include "util/json.hpp"

@@ -246,22 +246,13 @@ int cmd_compress(const std::string& path, const std::string& codec_name) {
 }
 
 int cmd_campaign(const std::string& kind, double duration_s, double period_s) {
-  core::FacilityConfig fc;
+  if (kind != "hyper" && kind != "spatio") return usage();
+  auto [fc, cfg] = core::paper_experiment(kind == "hyper"
+                                              ? core::UseCase::Hyperspectral
+                                              : core::UseCase::Spatiotemporal);
   fc.artifact_dir = "picoflow-cli-artifacts";
-  core::CampaignConfig cfg;
-  if (kind == "hyper") {
-    cfg.use_case = core::UseCase::Hyperspectral;
-    cfg.file_bytes = 91 * 1000 * 1000;
-    cfg.start_period_s = period_s > 0 ? period_s : 30;
-  } else if (kind == "spatio") {
-    cfg.use_case = core::UseCase::Spatiotemporal;
-    cfg.file_bytes = 1200 * 1000 * 1000;
-    cfg.start_period_s = period_s > 0 ? period_s : 120;
-    fc.cost.provision_delay_s = 35.0;
-  } else {
-    return usage();
-  }
-  cfg.duration_s = duration_s > 0 ? duration_s : 3600;
+  if (period_s > 0) cfg.start_period_s = period_s;
+  if (duration_s > 0) cfg.duration_s = duration_s;
 
   core::Facility facility(fc);
   core::CampaignResult result = core::run_campaign(facility, cfg);
