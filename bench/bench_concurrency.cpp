@@ -55,7 +55,15 @@ int main() {
                   r.in_window.size());
       continue;
     }
-    double first_total = r.in_window.front().timing.total_s();
+    // The first *launched* flow: in_window is in settle order, and the
+    // first launch may also settle after the window.
+    const core::CompletedFlow* first = &r.in_window.front();
+    for (const auto* flows : {&r.in_window, &r.late}) {
+      for (const core::CompletedFlow& f : *flows) {
+        if (f.timing.submitted.ns < first->timing.submitted.ns) first = &f;
+      }
+    }
+    double first_total = first->timing.total_s();
     std::printf("%5.0fs | %6zu | %9.1fs | %9.1fs | %9.1fs | %9.1fs | %6.1f%%\n",
                 period, r.in_window.size() + r.late.size(),
                 r.step_active_stats("Transfer").median(),

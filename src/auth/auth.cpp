@@ -20,21 +20,28 @@ Token AuthService::issue(const Identity& identity,
   return token;
 }
 
-util::Result<TokenInfo> AuthService::validate(
-    const Token& token, const Scope& required_scope) const {
+util::Status AuthService::authorize(const Token& token,
+                                    const Scope& required_scope) const {
   if (!available_) {
-    return util::Result<TokenInfo>::err("auth service unavailable",
-                                        "unavailable");
+    return util::Status::err("auth service unavailable", "unavailable");
   }
   auto it = tokens_.find(token);
   if (it == tokens_.end()) {
-    return util::Result<TokenInfo>::err("invalid or revoked token", "denied");
+    return util::Status::err("invalid or revoked token", "denied");
   }
   if (!required_scope.empty() && !it->second.scopes.count(required_scope)) {
-    return util::Result<TokenInfo>::err(
-        "token lacks required scope: " + required_scope, "denied");
+    return util::Status::err("token lacks required scope: " + required_scope,
+                             "denied");
   }
-  return util::Result<TokenInfo>::ok(it->second);
+  return util::Status::ok();
+}
+
+util::Result<TokenInfo> AuthService::validate(
+    const Token& token, const Scope& required_scope) const {
+  if (auto allowed = authorize(token, required_scope); !allowed) {
+    return util::Result<TokenInfo>::err(allowed.error());
+  }
+  return util::Result<TokenInfo>::ok(tokens_.at(token));
 }
 
 void AuthService::revoke(const Token& token) { tokens_.erase(token); }

@@ -37,6 +37,10 @@ class AuthService {
   /// Validate a token and check it carries `required_scope`.
   util::Result<TokenInfo> validate(const Token& token,
                                    const Scope& required_scope) const;
+  /// validate() without the TokenInfo copy, for callers that only need the
+  /// verdict (the flow service checks every start).
+  util::Status authorize(const Token& token,
+                         const Scope& required_scope) const;
 
   /// Revoke a token; later validations fail.
   void revoke(const Token& token);

@@ -103,7 +103,9 @@ namespace {
 struct Driver : std::enable_shared_from_this<Driver> {
   Facility* facility;
   CampaignConfig config;
-  flow::FlowDefinition definition;
+  /// One immutable definition for every launch: runs share it and the flow
+  /// service's dispatch plan compiled from it.
+  std::shared_ptr<const flow::FlowDefinition> definition;
   CampaignResult* result;
   /// Real EMD bytes staged each cycle when config.real_payloads is set.
   /// Every staged object shares them; fault injection damages a private
@@ -257,7 +259,7 @@ struct Driver : std::enable_shared_from_this<Driver> {
     facility->refresh_user_token();
     double delay = config.recovery.resubmit_delay_s *
                    std::pow(2.0, static_cast<double>(entry.attempts - 1));
-    for (const auto& step : definition.steps) {
+    for (const auto& step : definition->steps) {
       delay = std::max(delay,
                        facility->flows().breaker_retry_after_s(step.provider));
     }
@@ -431,7 +433,7 @@ CampaignResult run_campaign(Facility& facility, const CampaignConfig& config) {
     driver->payload =
         std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
   }
-  driver->definition =
+  flow::FlowDefinition definition =
       config.use_case == UseCase::Hyperspectral
           ? (config.streaming_direct ? hyperspectral_stream_flow(facility)
                                      : hyperspectral_flow(facility))
@@ -440,14 +442,14 @@ CampaignResult run_campaign(Facility& facility, const CampaignConfig& config) {
   driver->result = &result;
 
   // Per-step timeout overrides (chaos campaigns abandon stuck actions).
-  for (auto& step : driver->definition.steps) {
+  for (auto& step : definition.steps) {
     auto it = config.step_timeouts.find(step.name);
     if (it != config.step_timeouts.end()) step.timeout_s = it->second;
   }
 
   // Cut-through streaming: flag the requested steps, and give the Transfer
   // step ahead of each streaming step a chunk size so it exposes progress.
-  auto& steps = driver->definition.steps;
+  auto& steps = definition.steps;
   for (size_t i = 0; i < steps.size(); ++i) {
     if (std::find(config.streaming_steps.begin(), config.streaming_steps.end(),
                   steps[i].name) == config.streaming_steps.end()) {
@@ -460,6 +462,8 @@ CampaignResult run_campaign(Facility& facility, const CampaignConfig& config) {
           config.streaming_chunk_bytes;
     }
   }
+  driver->definition =
+      std::make_shared<const flow::FlowDefinition>(std::move(definition));
 
   if (!config.chaos.empty()) {
     auto injector = facility.install_faults(config.chaos);

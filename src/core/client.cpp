@@ -67,10 +67,16 @@ util::Result<LaunchedFlow> TransferClient::launch_for_file(
     input.acquired = acquired->second.as_string(input.acquired);
   }
 
-  const flow::FlowDefinition definition =
-      kind.value() == emd::SignalKind::Hyperspectral
-          ? hyperspectral_flow(*facility_)
-          : spatiotemporal_flow(*facility_);
+  // One shared definition per kind: every launch reuses it (and the flow
+  // service's dispatch plan compiled from it) instead of copying it.
+  const bool hyper = kind.value() == emd::SignalKind::Hyperspectral;
+  std::shared_ptr<const flow::FlowDefinition>& definition =
+      hyper ? hyperspectral_definition_ : spatiotemporal_definition_;
+  if (!definition) {
+    definition = std::make_shared<const flow::FlowDefinition>(
+        hyper ? hyperspectral_flow(*facility_)
+              : spatiotemporal_flow(*facility_));
+  }
   auto run = facility_->flows().start(definition, input.to_json(),
                                       facility_->user_token(), tag);
   if (!run) return R::err(run.error());

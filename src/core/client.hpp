@@ -6,6 +6,7 @@
 // flows after a reboot. This is the reusable core behind the live_watcher
 // example; it runs against the real filesystem while the facility executes
 // in virtual time.
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,9 @@ class TransferClient {
   watcher::DirectoryWatcher watcher_;
   std::vector<std::string> errors_;
   int sequence_ = 0;
+  /// Built on first launch of each kind, then shared by every launch.
+  std::shared_ptr<const flow::FlowDefinition> hyperspectral_definition_;
+  std::shared_ptr<const flow::FlowDefinition> spatiotemporal_definition_;
 };
 
 }  // namespace pico::core

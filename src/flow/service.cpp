@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "flow/plan.hpp"
 #include "util/crc64.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -149,12 +150,20 @@ void FlowService::publish_status(Run& run) {
                    run.timing.submitted.ns, run.timing.finished.ns);
 }
 
+const FlowDefinition& FlowService::Run::definition() const {
+  return plan->definition();
+}
+
 util::Result<RunId> FlowService::start(const FlowDefinition& definition,
                                        util::Json input,
                                        const auth::Token& token,
                                        const std::string& label) {
-  return start(std::make_shared<const FlowDefinition>(definition),
-               std::move(input), token, label);
+  // A caller relaunching the same definition by value shares one copy (and
+  // so one plan) instead of pinning a copy per run.
+  if (!copied_definition_ || !(*copied_definition_ == definition)) {
+    copied_definition_ = std::make_shared<const FlowDefinition>(definition);
+  }
+  return start(copied_definition_, std::move(input), token, label);
 }
 
 util::Result<RunId> FlowService::start(
@@ -188,11 +197,38 @@ util::Result<RunCheckpoint> FlowService::checkpoint(const RunId& id) const {
   const Run* run = runs_.find(id);
   if (!run) return R::err("unknown run " + id, "not_found");
   RunCheckpoint cp;
-  cp.flow = run->def ? run->def->name : "";
+  const FlowDefinition& def = run->definition();
+  cp.flow = def.name;
   cp.start_step = run->info.current_step;
   cp.input = run->info.input;
-  cp.step_outputs = run->info.step_outputs;
+  const std::vector<util::Json>& outputs = run->info.step_outputs;
+  for (size_t i = 0; i < cp.start_step && i < outputs.size(); ++i) {
+    cp.step_outputs[def.steps[i].name] = outputs[i];
+  }
   return R::ok(std::move(cp));
+}
+
+util::Result<std::shared_ptr<DispatchPlan>> FlowService::plan_for(
+    const std::shared_ptr<const FlowDefinition>& definition) {
+  using R = util::Result<std::shared_ptr<DispatchPlan>>;
+  auto it = plans_.find(definition.get());
+  if (it != plans_.end()) {
+    if (std::shared_ptr<DispatchPlan> plan = it->second.lock()) {
+      return R::ok(std::move(plan));
+    }
+  }
+  std::vector<uint16_t> pids;
+  pids.reserve(definition->steps.size());
+  for (const auto& step : definition->steps) {
+    auto pid = provider_ids_.find(step.provider);
+    if (pid == provider_ids_.end()) {
+      return R::err("unknown provider: " + step.provider, "not_found");
+    }
+    pids.push_back(pid->second);
+  }
+  auto plan = std::make_shared<DispatchPlan>(definition, std::move(pids));
+  plans_[definition.get()] = plan;
+  return R::ok(std::move(plan));
 }
 
 util::Result<RunId> FlowService::start_internal(
@@ -201,14 +237,12 @@ util::Result<RunId> FlowService::start_internal(
     const RunCheckpoint* resume_from) {
   using R = util::Result<RunId>;
   const FlowDefinition& definition = *definition_ptr;
-  auto who = auth_->validate(token, "flows");
-  if (!who) return R::err(who.error());
-  if (definition.steps.empty()) return R::err("flow has no steps", "invalid");
-  for (const auto& step : definition.steps) {
-    if (!provider_ids_.count(step.provider)) {
-      return R::err("unknown provider: " + step.provider, "not_found");
-    }
+  if (auto allowed = auth_->authorize(token, "flows"); !allowed) {
+    return R::err(allowed.error());
   }
+  if (definition.steps.empty()) return R::err("flow has no steps", "invalid");
+  auto plan = plan_for(definition_ptr);
+  if (!plan) return R::err(plan.error());
 
   // Equivalent to util::format("run-%06llu", n) without the varargs
   // vsnprintf round trip; ids mint once per start on the campaign hot path.
@@ -230,16 +264,15 @@ util::Result<RunId> FlowService::start_internal(
   Run* run = runs_.emplace(id);
   run->id = id;
   run->svc = this;
-  run->def = std::move(definition_ptr);
-  run->step_pids.reserve(definition.steps.size());
-  for (const auto& step : definition.steps) {
-    run->step_pids.push_back(provider_ids_.find(step.provider)->second);
-  }
+  run->plan = std::move(plan).value();
   run->info.label = label.empty() ? id : label;
   run->info.input = std::move(input);
   run->timing.steps.reserve(definition.steps.size());
   run->timing.submitted = engine_->now();
-  run->token = token;
+  auto [known, fresh] = token_ids_.try_emplace(
+      token, static_cast<uint32_t>(tokens_.size()));
+  if (fresh) tokens_.push_back(token);
+  run->token = known->second;
   run->backoff_salt = util::crc64(id) ^ seed_;
   if (resume_from) {
     // Continue a peer's checkpoint: completed steps become resolved outputs
@@ -247,8 +280,14 @@ util::Result<RunId> FlowService::start_internal(
     // current_step), dispatch starts at start_step. Epoch, salt, retry
     // counters, and breakers above are already this site's fresh state.
     run->info.current_step = resume_from->start_step;
-    run->info.step_outputs = resume_from->step_outputs;
+    if (!resume_from->step_outputs.empty()) {
+      run->info.step_outputs.resize(definition.steps.size());
+    }
     for (size_t i = 0; i < resume_from->start_step; ++i) {
+      auto out = resume_from->step_outputs.find(definition.steps[i].name);
+      if (out != resume_from->step_outputs.end()) {
+        run->info.step_outputs[i] = out->second;
+      }
       StepTiming skipped;
       skipped.name = definition.steps[i].name;
       run->timing.steps.push_back(std::move(skipped));
@@ -307,42 +346,14 @@ util::Result<RunId> FlowService::start_internal(
 util::Json FlowService::resolve_params(
     const util::Json& params, const util::Json& input,
     const std::map<std::string, util::Json>& steps) {
-  using util::Json;
-  switch (params.type()) {
-    case Json::Type::String: {
-      const std::string& s = params.as_string();
-      if (s == "$.input") return input;
-      if (util::starts_with(s, "$.input.")) {
-        return input.at_path(s.substr(8));
-      }
-      if (util::starts_with(s, "$.steps.")) {
-        std::string rest = s.substr(8);
-        size_t dot = rest.find('.');
-        std::string step = dot == std::string::npos ? rest : rest.substr(0, dot);
-        auto it = steps.find(step);
-        if (it == steps.end()) return Json();
-        if (dot == std::string::npos) return it->second;
-        return it->second.at_path(rest.substr(dot + 1));
-      }
-      return params;
-    }
-    case Json::Type::Array: {
-      Json out = Json::array();
-      for (const auto& v : params.as_array()) {
-        out.push_back(resolve_params(v, input, steps));
-      }
-      return out;
-    }
-    case Json::Type::Object: {
-      Json out = Json::object();
-      for (const auto& [k, v] : params.as_object()) {
-        out[k] = resolve_params(v, input, steps);
-      }
-      return out;
-    }
-    default:
-      return params;
+  std::vector<std::string> names;
+  std::vector<util::Json> outputs;
+  for (const auto& [name, output] : steps) {
+    names.push_back(name);
+    outputs.push_back(output);
   }
+  ParamsTemplate compiled(params, names, /*stamp_epoch=*/false);
+  return compiled.fill(input, outputs, outputs.size(), 0);
 }
 
 void FlowService::dispatch_step(Run& run) {
@@ -352,15 +363,9 @@ void FlowService::dispatch_step(Run& run) {
     return;
   }
   const ActionState& step = run.definition().steps[run.info.current_step];
-  uint16_t pid = run.step_pids[run.info.current_step];
-  run.cur_pid = pid;  // hot mirror: polls skip the step_pids heap array
+  uint16_t pid = run.plan->provider_id(run.info.current_step);
+  run.cur_pid = pid;  // hot mirror: polls skip the plan
   ActionProvider* provider = providers_[pid];
-
-  util::Json resolved =
-      resolve_params(step.params, run.info.input, run.info.step_outputs);
-  // Attempt epoch rides along so idempotent providers (search ingest) can
-  // report which attempt first claimed a publish and which were suppressed.
-  resolved["flow_attempt_epoch"] = static_cast<int64_t>(run.epoch);
 
   StepTiming timing;
   timing.name = step.name;
@@ -439,13 +444,21 @@ void FlowService::dispatch_step(Run& run) {
     run.attempt_started = engine_->now();
   }
   util::Result<ActionHandle> handle = [&] {
+    // Attempt epoch rides along in the params so idempotent providers
+    // (search ingest) can report which attempt first claimed a publish and
+    // which were suppressed.
+    DispatchPlan::Params params =
+        run.plan->params(run.info.current_step, run.info.input,
+                         run.info.step_outputs, run.info.current_step,
+                         run.epoch);
     // Scope the attempt span around the provider call: the service-side
     // task (transfer/compute) parents to this attempt and inherits its
     // flight subject, so its async events (frame NACKs, chunk retries)
     // reach this run's ring.
-    if (!telemetry_) return provider->start(resolved, run.token);
+    const auth::Token& token = tokens_[run.token];
+    if (!telemetry_) return provider->start(params.json(), token);
     telemetry::Tracer::Scope scope(telemetry_->tracer, run.attempt_span);
-    return provider->start(resolved, run.token);
+    return provider->start(params.json(), token);
   }();
   if (!handle) {
     breaker.record_failure(engine_->now());
@@ -472,7 +485,7 @@ void FlowService::dispatch_step(Run& run) {
   size_t next_idx = run.info.current_step + 1;
   if (next_idx < run.definition().steps.size() &&
       run.definition().steps[next_idx].streaming &&
-      providers_[run.step_pids[next_idx]]->supports_held_start()) {
+      providers_[run.plan->provider_id(next_idx)]->supports_held_start()) {
     provider->subscribe_progress(
         run.current_handle,
         [r, epoch](int64_t) { r->svc->on_stream_progress(*r, epoch); });
@@ -569,7 +582,7 @@ void FlowService::timeout_step(Run& run, uint64_t epoch) {
                              }),
                              util::LogLevel::Warn);
   }
-  breaker_for(run.step_pids[run.info.current_step])
+  breaker_for(run.plan->provider_id(run.info.current_step))
       .record_failure(engine_->now());
   logger().warn("%s: step %s timed out after %.1fs (attempt abandoned)",
                 run.id.c_str(), step.name.c_str(), step.timeout_s);
@@ -636,15 +649,9 @@ void FlowService::on_stream_progress(Run& run, uint64_t epoch) {
   size_t next_idx = run.info.current_step + 1;
   if (next_idx >= run.definition().steps.size()) return;
   const ActionState& next = run.definition().steps[next_idx];
-  ActionProvider* provider = providers_[run.step_pids[next_idx]];
+  ActionProvider* provider = providers_[run.plan->provider_id(next_idx)];
   if (!provider->supports_held_start()) return;
 
-  // NOTE: "$.steps.<current>.*" references resolve to null here — the
-  // current step has no output yet. Streaming steps must template from
-  // "$.input.*" only (definition_io validates this).
-  util::Json resolved =
-      resolve_params(next.params, run.info.input, run.info.step_outputs);
-  resolved["flow_attempt_epoch"] = static_cast<int64_t>(run.epoch);
   sim::SimTime t0 = engine_->now();
   uint64_t step_span = 0, attempt_span = 0;
   if (telemetry_) {
@@ -654,9 +661,16 @@ void FlowService::on_stream_progress(Run& run, uint64_t epoch) {
         "flow", run.id + "/" + next.name + "#0", step_span);
   }
   util::Result<ActionHandle> handle = [&] {
-    if (!telemetry_) return provider->start_held(resolved, run.token);
+    // NOTE: "$.steps.<current>.*" references resolve to null here — the
+    // current step has no output yet. Streaming steps must template from
+    // "$.input.*" only (definition_io validates this).
+    DispatchPlan::Params params =
+        run.plan->params(next_idx, run.info.input, run.info.step_outputs,
+                         run.info.current_step, run.epoch);
+    const auth::Token& token = tokens_[run.token];
+    if (!telemetry_) return provider->start_held(params.json(), token);
     telemetry::Tracer::Scope scope(telemetry_->tracer, attempt_span);
-    return provider->start_held(resolved, run.token);
+    return provider->start_held(params.json(), token);
   }();
   if (!handle) {
     // Held start refused: fall back to serialized dispatch after the current
@@ -703,8 +717,8 @@ void FlowService::activate_prestarted(Run& run) {
     return;
   }
   const ActionState& step = run.definition().steps[run.info.current_step];
-  ActionProvider* provider = providers_[run.step_pids[run.info.current_step]];
-  run.cur_pid = run.step_pids[run.info.current_step];
+  run.cur_pid = run.plan->provider_id(run.info.current_step);
+  ActionProvider* provider = providers_[run.cur_pid];
 
   StepTiming timing;
   timing.name = step.name;
@@ -762,7 +776,7 @@ void FlowService::abandon_prestart(Run& run) {
   const ActionState& step = run.definition().steps[run.pre_step];
   // Let the held service work run to completion unobserved, like any
   // abandoned action — release frees the held resources.
-  providers_[run.step_pids[run.pre_step]]->release(run.pre_handle);
+  providers_[run.plan->provider_id(run.pre_step)]->release(run.pre_handle);
   if (telemetry_) {
     if (run.pre_attempt_span != 0) {
       telemetry_->tracer.close(run.pre_attempt_span, "attempt",
@@ -847,7 +861,11 @@ void FlowService::complete_step(Run& run, ActionPollResult poll) {
   timing.service_started = poll.service_started;
   timing.service_completed = poll.service_completed;
   timing.discovered = engine_->now();
-  run.info.step_outputs[step.name] = std::move(poll.output);
+  std::vector<util::Json>& outputs = run.info.step_outputs;
+  if (outputs.size() <= run.info.current_step) {
+    outputs.resize(run.definition().steps.size());
+  }
+  outputs[run.info.current_step] = std::move(poll.output);
   if (telemetry_) {
     if (run.attempt_span != 0) {
       telemetry_->tracer.close(run.attempt_span, "attempt",

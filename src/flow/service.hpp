@@ -12,6 +12,7 @@
 // against the flow input and prior step outputs at dispatch time.
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -122,12 +123,18 @@ struct ActionState {
   /// definition under brownout (load-shedding ladder rung 1) before it starts
   /// rejecting admissions. The orchestrator itself never skips them.
   bool optional = false;
+
+  bool operator==(const ActionState&) const = default;
 };
 
 struct FlowDefinition {
   std::string name;
   std::vector<ActionState> steps;
+
+  bool operator==(const FlowDefinition&) const = default;
 };
+
+class DispatchPlan;
 
 enum class RunState { Pending, Active, Succeeded, Failed };
 
@@ -185,7 +192,10 @@ struct RunInfo {
   std::string label;       ///< caller-supplied tag (e.g. source file)
   std::string error;
   util::Json input;
-  std::map<std::string, util::Json> step_outputs;
+  /// Completed-step outputs by step index: [i] is step i's output for
+  /// i < current_step (null for a step that has not completed). Empty until
+  /// the first step completes or a checkpoint seeds it.
+  std::vector<util::Json> step_outputs;
 };
 
 /// How the orchestrator learns that a dispatched action settled.
@@ -255,8 +265,9 @@ struct BreakerSnapshot {
 
 /// Portable inter-step state of a run: everything a peer facility needs to
 /// continue the flow from where it stopped. Completed steps are carried as
-/// their outputs (the orchestrator's only inter-step state — "$.steps.X.*"
-/// references resolve against them), so the resumed run starts at
+/// their outputs keyed by step name (the orchestrator's only inter-step
+/// state — "$.steps.X.*" references resolve against them; outputs named for
+/// steps at or after `start_step` are ignored), so the resumed run starts at
 /// `start_step` without re-running anything before it. Deliberately excludes
 /// attempt epochs, backoff salts, retry counters, and breaker state: a
 /// failover must NOT inherit the failed site's backoff/breaker history.
@@ -289,9 +300,10 @@ class FlowService {
                             const std::string& label = "");
 
   /// Shared-definition overload: campaign drivers launching many runs of the
-  /// same flow pass one immutable definition and every run shares it instead
-  /// of copying ~1.5 KB of step metadata per run. The const& overload above
-  /// delegates here with a one-off copy.
+  /// same flow pass one immutable definition and every run shares it (and
+  /// its dispatch plan) instead of copying ~1.5 KB of step metadata per run.
+  /// The const& overload above delegates here, reusing its previous copy
+  /// while the caller's definition compares equal to it.
   util::Result<RunId> start(std::shared_ptr<const FlowDefinition> definition,
                             util::Json input, const auth::Token& token,
                             const std::string& label = "");
@@ -368,8 +380,8 @@ class FlowService {
     slow_run_threshold_s_ = seconds;
   }
 
-  /// Resolve "$." references in params against input + step outputs
-  /// (exposed for tests).
+  /// Resolve "$." references in params against input + step outputs, by
+  /// the same compiled template dispatch uses (exposed for tests).
   static util::Json resolve_params(const util::Json& params,
                                    const util::Json& input,
                                    const std::map<std::string, util::Json>& steps);
@@ -398,8 +410,8 @@ class FlowService {
     /// each other's jitter.
     uint64_t backoff_salt = 0;
     int poll_attempt = 0;
-    /// Interned provider id of the dispatched step (mirror of
-    /// step_pids[current_step], kept hot so polls skip the heap array).
+    /// Interned provider id of the dispatched step (mirror of the plan's
+    /// id for current_step, kept hot so polls skip the plan).
     uint16_t cur_pid = 0;
     /// Current attempt has a live completion subscription: polling is only
     /// the sparse reconcile safety net, never reset on token change.
@@ -421,21 +433,18 @@ class FlowService {
     RunId id;
     /// Seqlock-published status for lock-free portal polling.
     RunStatusCell cell;
-    /// Interned provider id per step (indexes FlowService::providers_), so
-    /// dispatch/poll never do a string map lookup.
-    std::vector<uint16_t> step_pids;
-    /// Immutable, shared with every run started from the same definition
-    /// object: at 10^5-10^6 concurrent runs the per-run copy was both the
-    /// dominant memory cost (~1.5 KB each) and a guaranteed cache miss per
-    /// dispatch; one shared copy keeps step metadata hot.
-    std::shared_ptr<const FlowDefinition> def;
-    const FlowDefinition& definition() const { return *def; }
+    /// Compiled once per shared definition and shared with every run started
+    /// from it: interned provider ids (so dispatch/poll never do a string
+    /// map lookup) and params templates, plus the immutable definition
+    /// itself — one copy keeps step metadata hot at 10^5-10^6 runs.
+    std::shared_ptr<DispatchPlan> plan;
+    const FlowDefinition& definition() const;
     /// Pending step-timeout event; cancelled when the attempt settles so dead
     /// timers are reclaimed by compaction instead of firing as no-ops hours
     /// of virtual time after the run finished.
     sim::EventHandle timeout_handle;
     RunTiming timing;
-    auth::Token token;
+    uint32_t token = 0;  ///< index into FlowService::tokens_
     int retries_this_step = 0;
     /// Cut-through pre-dispatch of the *next* step (held at its provider
     /// until the current step settles). Empty handle = none outstanding.
@@ -492,6 +501,11 @@ class FlowService {
                              CircuitBreaker::State from,
                              CircuitBreaker::State to, sim::SimTime at);
 
+  /// The plan of a shared definition, compiled on first use. Fails (and
+  /// caches nothing) when a step names an unregistered provider.
+  util::Result<std::shared_ptr<DispatchPlan>> plan_for(
+      const std::shared_ptr<const FlowDefinition>& definition);
+
   /// Shared start/resume body: `resume_from` (when non-null) pre-seeds the
   /// completed steps and start offset before the first dispatch schedules.
   util::Result<RunId> start_internal(
@@ -524,6 +538,18 @@ class FlowService {
   std::vector<std::string> provider_names_;
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
   std::unordered_map<std::string, uint16_t> provider_ids_;
+  /// Plans by definition address. Weak: runs own their plan (and through
+  /// it the definition), so the cache never pins one; an entry whose plan
+  /// died is recompiled if its address is reused.
+  std::unordered_map<const FlowDefinition*, std::weak_ptr<DispatchPlan>>
+      plans_;
+  /// Tokens runs were started with, interned: runs keep an index instead of
+  /// a copy. A deque, so a reference handed to a provider call stays valid
+  /// if that call starts another run.
+  std::deque<auth::Token> tokens_;
+  std::unordered_map<auth::Token, uint32_t> token_ids_;
+  /// The const& start overload's latest copy, reused while equal.
+  std::shared_ptr<const FlowDefinition> copied_definition_;
   /// Run records, sharded by id hash; records are heap-pinned so scheduled
   /// events hold raw Run* (see Run::svc).
   ShardedRunStore<Run> runs_;

@@ -15,12 +15,12 @@ std::string to_string(SimTime t) {
 }
 
 void EventHandle::cancel() {
-  if (!state_ || state_->cancelled || state_->fired) return;
-  state_->cancelled = true;
-  if (counters_) {
-    ++counters_->cancelled_total;
-    ++counters_->cancelled_pending;
-  }
+  if (!table_) return;
+  CancelTable::Slot& slot = table_->slots[slot_];
+  if (slot.generation != generation_ || slot.cancelled) return;
+  slot.cancelled = true;
+  ++table_->cancelled_total;
+  ++table_->cancelled_pending;
 }
 
 namespace {
@@ -35,12 +35,11 @@ Engine::Engine() : Engine(backend_from_env()) {}
 
 Engine::Engine(Backend backend)
     : backend_(backend),
-      counters_(std::make_shared<EventHandle::Counters>()) {}
+      cancels_(std::make_shared<EventHandle::CancelTable>()) {}
 
-void Engine::enqueue(SimTime at, std::function<void()> fn,
-                     std::shared_ptr<EventState> state) {
+void Engine::enqueue(SimTime at, std::function<void()> fn, uint32_t slot) {
   assert(at >= now_ && "cannot schedule into the past");
-  SchedEntry entry{at.ns, next_seq_++, std::move(fn), std::move(state)};
+  SchedEntry entry{at.ns, next_seq_++, std::move(fn), slot};
   if (backend_ == Backend::Heap) {
     heap_.push_back(std::move(entry));
     std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
@@ -50,10 +49,25 @@ void Engine::enqueue(SimTime at, std::function<void()> fn,
   maybe_compact();
 }
 
+void Engine::release_slot(uint32_t slot) {
+  EventHandle::CancelTable::Slot& s = cancels_->slots[slot];
+  ++s.generation;
+  s.cancelled = false;
+  cancels_->free.push_back(slot);
+}
+
 EventHandle Engine::schedule_at(SimTime at, std::function<void()> fn) {
-  auto state = std::make_shared<EventState>();
-  EventHandle handle(state, counters_);
-  enqueue(at, std::move(fn), std::move(state));
+  EventHandle::CancelTable& table = *cancels_;
+  uint32_t slot;
+  if (!table.free.empty()) {
+    slot = table.free.back();
+    table.free.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(table.slots.size());
+    table.slots.emplace_back();
+  }
+  EventHandle handle(cancels_, slot, table.slots[slot].generation);
+  enqueue(at, std::move(fn), slot);
   return handle;
 }
 
@@ -64,7 +78,7 @@ EventHandle Engine::schedule_after(Duration delay, std::function<void()> fn) {
 }
 
 void Engine::post_at(SimTime at, std::function<void()> fn) {
-  enqueue(at, std::move(fn), nullptr);
+  enqueue(at, std::move(fn), SchedEntry::kNoSlot);
 }
 
 void Engine::post_after(Duration delay, std::function<void()> fn) {
@@ -84,12 +98,16 @@ bool Engine::pop_next(int64_t limit_ns, SchedEntry* out) {
 
 bool Engine::fire(SchedEntry& entry) {
   now_ = SimTime{entry.at_ns};
-  if (entry.state) {
-    if (entry.state->cancelled) {
-      --counters_->cancelled_pending;
+  if (entry.slot != SchedEntry::kNoSlot) {
+    // Release before running: a cancel from inside the callback (or from a
+    // handle kept past it) is a stale no-op, and the callback may reuse the
+    // slot for the next event it schedules.
+    bool cancelled = cancels_->slots[entry.slot].cancelled;
+    release_slot(entry.slot);
+    if (cancelled) {
+      --cancels_->cancelled_pending;
       return false;
     }
-    entry.state->fired = true;
   }
   ++events_processed_;
   entry.fn();
@@ -102,22 +120,26 @@ void Engine::maybe_compact() {
   // cancels a couple of timers per completion (10^5 flows -> 2*10^5 timer
   // cancels) trigger thousands of end-of-run sweeps. 8192 dead entries is
   // ~0.5 MB of queue slack, amortized against O(8192) reclaimed per sweep.
-  size_t pending = counters_->cancelled_pending;
+  size_t pending = cancels_->cancelled_pending;
   if (pending < 8192 || pending * 2 <= queue_depth()) return;
+  // Each dropped entry gives its slot back, so stale handles stay no-ops.
+  auto dead = [this](const SchedEntry& e) {
+    if (e.slot == SchedEntry::kNoSlot || !cancels_->slots[e.slot].cancelled) {
+      return false;
+    }
+    release_slot(e.slot);
+    return true;
+  };
   size_t removed;
   if (backend_ == Backend::Heap) {
     size_t before = heap_.size();
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [](const SchedEntry& e) {
-                                 return e.state && e.state->cancelled;
-                               }),
-                heap_.end());
+    heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
     removed = before - heap_.size();
     std::make_heap(heap_.begin(), heap_.end(), HeapLater{});
   } else {
-    removed = wheel_.compact();
+    removed = wheel_.compact(dead);
   }
-  counters_->cancelled_pending -= removed;
+  cancels_->cancelled_pending -= removed;
   ++compactions_;
 }
 
@@ -138,7 +160,9 @@ void Engine::prefetch_next() const {
   void* hint;
   std::memcpy(&hint, reinterpret_cast<const char*>(&next->fn), sizeof(hint));
   __builtin_prefetch(hint);
-  if (next->state) __builtin_prefetch(next->state.get());
+  if (next->slot != SchedEntry::kNoSlot) {
+    __builtin_prefetch(&cancels_->slots[next->slot]);
+  }
 #endif
 }
 

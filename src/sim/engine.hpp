@@ -32,23 +32,36 @@ namespace pico::sim {
 class EventHandle {
  public:
   EventHandle() = default;
-  /// Cancel the event if it has not fired yet. Safe to call repeatedly and
+  /// Cancel the event if it has not fired yet. Safe to call repeatedly,
+  /// after the event fired, after its slot was reused by a later event, and
   /// after the engine is gone. O(1): the queued entry is reclaimed lazily.
   void cancel();
-  bool valid() const { return state_ != nullptr; }
+  bool valid() const { return table_ != nullptr; }
 
  private:
   friend class Engine;
-  /// Cancel bookkeeping shared by the engine and every outstanding handle;
-  /// shared ownership so a handle outliving the engine stays safe.
-  struct Counters {
+  /// Engine-owned cancel slots, one per queued cancellable event. A slot's
+  /// generation moves on when its event fires or is reclaimed, so a handle
+  /// is current iff its generation still matches. The table (not the
+  /// engine) is shared with handles: a handle outliving the engine keeps
+  /// only this table alive, and scheduling a cancellable event allocates
+  /// nothing once the table has grown to the peak number of pending timers.
+  struct CancelTable {
+    struct Slot {
+      uint32_t generation = 0;
+      bool cancelled = false;
+    };
+    std::vector<Slot> slots;
+    std::vector<uint32_t> free;  ///< released slot indices, reused LIFO
     uint64_t cancelled_total = 0;
     size_t cancelled_pending = 0;
   };
-  EventHandle(std::shared_ptr<EventState> s, std::shared_ptr<Counters> c)
-      : state_(std::move(s)), counters_(std::move(c)) {}
-  std::shared_ptr<EventState> state_;
-  std::shared_ptr<Counters> counters_;
+  EventHandle(std::shared_ptr<CancelTable> table, uint32_t slot,
+              uint32_t generation)
+      : table_(std::move(table)), slot_(slot), generation_(generation) {}
+  std::shared_ptr<CancelTable> table_;
+  uint32_t slot_ = 0;
+  uint32_t generation_ = 0;
 };
 
 class Engine {
@@ -69,9 +82,8 @@ class Engine {
   /// Schedule `fn` to run `delay` from now.
   EventHandle schedule_after(Duration delay, std::function<void()> fn);
 
-  /// Fire-and-forget twins: no cancellation handle, so no per-event control
-  /// block. The flow orchestrator's hot paths (polls, retries, hops) use
-  /// these — at 10^5 concurrent runs the saved allocation is material.
+  /// Fire-and-forget twins: no cancellation handle and no cancel slot. The
+  /// flow orchestrator's hot paths (polls, retries, hops) use these.
   void post_at(SimTime at, std::function<void()> fn);
   void post_after(Duration delay, std::function<void()> fn);
 
@@ -95,9 +107,14 @@ class Engine {
   }
   /// Cancellations observed over the engine's lifetime (exported as the
   /// sim_events_cancelled_total counter).
-  uint64_t cancelled_total() const { return counters_->cancelled_total; }
+  uint64_t cancelled_total() const { return cancels_->cancelled_total; }
   /// Cancelled entries not yet reclaimed from the queue.
-  size_t cancelled_pending() const { return counters_->cancelled_pending; }
+  size_t cancelled_pending() const { return cancels_->cancelled_pending; }
+  /// Cancel slots held by queued cancellable events (fired, reclaimed and
+  /// compacted-away events have released theirs).
+  size_t cancel_slots_in_use() const {
+    return cancels_->slots.size() - cancels_->free.size();
+  }
   /// Lazy compaction sweeps performed (diagnostics/tests).
   uint64_t compactions() const { return compactions_; }
 
@@ -113,14 +130,15 @@ class Engine {
     }
   };
 
-  void enqueue(SimTime at, std::function<void()> fn,
-               std::shared_ptr<EventState> state);
+  void enqueue(SimTime at, std::function<void()> fn, uint32_t slot);
+  /// Return a slot to the free list; outstanding handles go stale.
+  void release_slot(uint32_t slot);
   bool pop_next(int64_t limit_ns, SchedEntry* out);
   /// Fire `entry` unless cancelled; returns true if it ran.
   bool fire(SchedEntry& entry);
   /// Reclaim cancelled entries once they outnumber live ones.
   void maybe_compact();
-  /// Prefetch the likely-next entry's functor target and cancel state.
+  /// Prefetch the likely-next entry's functor target and cancel slot.
   void prefetch_next() const;
 
   Backend backend_;
@@ -128,7 +146,7 @@ class Engine {
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
   uint64_t compactions_ = 0;
-  std::shared_ptr<EventHandle::Counters> counters_;
+  std::shared_ptr<EventHandle::CancelTable> cancels_;
   std::vector<SchedEntry> heap_;  ///< Backend::Heap: binary heap (HeapLater)
   TimerWheel wheel_;              ///< Backend::Wheel
 };

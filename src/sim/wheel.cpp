@@ -24,6 +24,24 @@ void TimerWheel::push_due(SchedEntry entry) {
   std::push_heap(due_.begin(), due_.end(), DueLater{});
 }
 
+void TimerWheel::push_slot(std::vector<SchedEntry>& bucket,
+                           SchedEntry entry) {
+  if (bucket.capacity() == 0 && !spare_.empty()) {
+    bucket.swap(spare_.back());
+    spare_.pop_back();
+  }
+  bucket.push_back(std::move(entry));
+}
+
+void TimerWheel::spare(std::vector<SchedEntry>& bucket) {
+  bucket.clear();
+  if (bucket.capacity() == 0 || bucket.capacity() > kSpareMaxEntries ||
+      spare_.size() >= kSpareMax) {
+    return;
+  }
+  spare_.push_back(std::move(bucket));
+}
+
 SchedEntry TimerWheel::pop_due() {
   std::pop_heap(due_.begin(), due_.end(), DueLater{});
   SchedEntry out = std::move(due_.back());
@@ -45,7 +63,7 @@ void TimerWheel::insert(SchedEntry entry) {
   }
   int level = (63 - std::countl_zero(diff)) / 8;
   int slot = static_cast<int>((tick >> (8 * level)) & 0xFF);
-  slots_[level][slot].push_back(std::move(entry));
+  push_slot(slots_[level][slot], std::move(entry));
   bitmap_[level][slot / 64] |= 1ull << (slot % 64);
 }
 
@@ -75,6 +93,7 @@ void TimerWheel::redistribute(int level, int slot) {
   bitmap_[level][slot / 64] &= ~(1ull << (slot % 64));
   size_ -= pending.size();  // insert() re-counts each entry
   for (auto& e : pending) insert(std::move(e));
+  spare(pending);  // else freed here
 }
 
 bool TimerWheel::pop_next(int64_t limit_ns, SchedEntry* out) {
@@ -120,7 +139,7 @@ bool TimerWheel::pop_next(int64_t limit_ns, SchedEntry* out) {
       int slot = static_cast<int>(cand_tick & 0xFF);
       std::vector<SchedEntry>& bucket = slots_[0][slot];
       for (auto& e : bucket) push_due(std::move(e));
-      bucket.clear();
+      spare(bucket);  // else the slot keeps its buffer
       bitmap_[0][slot / 64] &= ~(1ull << (slot % 64));
       continue;
     }
@@ -132,8 +151,8 @@ bool TimerWheel::pop_next(int64_t limit_ns, SchedEntry* out) {
   }
 }
 
-size_t TimerWheel::compact() {
-  auto dead = [](const SchedEntry& e) { return e.state && e.state->cancelled; };
+size_t TimerWheel::compact(
+    const std::function<bool(const SchedEntry&)>& dead) {
   size_t removed = 0;
   auto sweep = [&](std::vector<SchedEntry>& v) {
     size_t before = v.size();

@@ -15,28 +15,24 @@
 // per-level 256-bit occupancy bitmaps give the next candidate in O(1), and
 // each entry cascades at most once per level on its way down.
 //
-// Cancellation is O(1) (a flag on the entry's shared state); dead entries are
-// reclaimed either when their slot drains or by compact(), which the engine
-// invokes lazily once cancelled entries outnumber live ones.
+// Cancellation is O(1) (a flag in the engine's cancel-slot table); dead
+// entries are reclaimed either when they reach the front of the queue or by
+// compact(), which the engine invokes lazily once cancelled entries
+// outnumber live ones.
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 namespace pico::sim {
 
-/// Shared cancellation state between an EventHandle and the queued entry.
-struct EventState {
-  bool cancelled = false;
-  bool fired = false;  ///< set when the entry fires or is compacted away
-};
-
-/// A queued event. `state` is null for fire-and-forget posts (no handle).
+/// A queued event. `slot` indexes the engine's cancel-slot table; kNoSlot
+/// for fire-and-forget posts (no handle).
 struct SchedEntry {
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
   int64_t at_ns = 0;
   uint64_t seq = 0;
   std::function<void()> fn;
-  std::shared_ptr<EventState> state;
+  uint32_t slot = kNoSlot;
 };
 
 class TimerWheel {
@@ -54,8 +50,9 @@ class TimerWheel {
   /// such entry remains; the wheel position is left untouched in that case.
   bool pop_next(int64_t limit_ns, SchedEntry* out);
 
-  /// Remove every cancelled entry; returns how many were dropped. O(size).
-  size_t compact();
+  /// Remove every entry for which `dead` returns true (called exactly once
+  /// per queued entry); returns how many were dropped. O(size).
+  size_t compact(const std::function<bool(const SchedEntry&)>& dead);
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -71,6 +68,11 @@ class TimerWheel {
 
  private:
   void push_due(SchedEntry entry);
+  /// Append to a slot bucket, adopting a spare buffer if it has none.
+  void push_slot(std::vector<SchedEntry>& bucket, SchedEntry entry);
+  /// Clear a drained bucket and move its buffer to spare_ if the buffer is
+  /// small and spare_ has room.
+  void spare(std::vector<SchedEntry>& bucket);
   SchedEntry pop_due();
   /// Tick of the earliest level candidate (slot lower bound), or INT64_MAX.
   /// Sets *level to the candidate's level.
@@ -84,6 +86,14 @@ class TimerWheel {
   std::vector<SchedEntry> slots_[kLevels][kSlotsPerLevel];
   uint64_t bitmap_[kLevels][kSlotsPerLevel / 64] = {};
   std::vector<SchedEntry> overflow_;
+  /// Small buffers of drained slot buckets, adopted by the next empty
+  /// bucket to fill, so a steady load stops allocating once it has cycled
+  /// through the wheel, whichever slots it lands in. A burst's large
+  /// buffers are not kept here: spare_ never pins more than
+  /// kSpareMax x kSpareMaxEntries entries (~230 KB).
+  static constexpr size_t kSpareMaxEntries = 64;
+  static constexpr size_t kSpareMax = 64;
+  std::vector<std::vector<SchedEntry>> spare_;
 };
 
 }  // namespace pico::sim

@@ -637,7 +637,7 @@ TEST(Integrity, RetriedFlowTransferResumesFromManifest) {
   ASSERT_GE(facility.flows().timing(run).steps.size(), 1u);
   EXPECT_GE(facility.flows().timing(run).steps[0].timeouts, 1);
 
-  const util::Json& out = info.step_outputs.at("Transfer");
+  const util::Json& out = info.step_outputs.at(0);  // Transfer
   EXPECT_GT(out.at("chunks_resumed").as_int(0), 0);
   // The retried transfer moved well under 60% of the file.
   EXPECT_LT(out.at("wire_bytes").as_int(0),
@@ -659,7 +659,7 @@ TEST(Integrity, RestartModeMovesTheFileTwice) {
 
   const flow::RunInfo& info = facility.flows().info(run);
   ASSERT_EQ(info.state, flow::RunState::Succeeded) << info.error;
-  const util::Json& out = info.step_outputs.at("Transfer");
+  const util::Json& out = info.step_outputs.at(0);  // Transfer
   EXPECT_EQ(out.at("chunks_resumed").as_int(-1), 0);
   // The successful attempt alone re-sent everything...
   EXPECT_GE(out.at("wire_bytes").as_int(0), 91'000'000);

@@ -204,7 +204,7 @@ TEST_F(FlowFixture, StepOutputsFeedLaterParams) {
   const RunInfo& info = service->info(run.value());
   EXPECT_EQ(info.state, RunState::Succeeded);
   // B echoed A's echo: "A".
-  EXPECT_EQ(info.step_outputs.at("B").at("echo").as_string(), "A");
+  EXPECT_EQ(info.step_outputs.at(1).at("echo").as_string(), "A");
 }
 
 TEST_F(FlowFixture, InputTemplating) {
@@ -217,7 +217,7 @@ TEST_F(FlowFixture, InputTemplating) {
   ASSERT_TRUE(run);
   engine.run();
   const RunInfo& info = service->info(run.value());
-  EXPECT_EQ(info.step_outputs.at("A").at("echo").as_string(), "hello");
+  EXPECT_EQ(info.step_outputs.at(0).at("echo").as_string(), "hello");
   EXPECT_EQ(info.label, "labelled");
 }
 
@@ -249,6 +249,197 @@ TEST(ResolveParams, HandlesAllShapes) {
   Json resolved = FlowService::resolve_params(nested, input, steps);
   EXPECT_EQ(resolved.at("k")[0].as_int(), 1);
   EXPECT_EQ(resolved.at("k")[1].as_int(), 42);
+}
+
+/// Reference model of params templating: resolves from scratch against a
+/// name-keyed map of completed outputs, the way dispatch worked before plans.
+Json resolve_from_scratch(const Json& params, const Json& input,
+                          const std::map<std::string, Json>& steps) {
+  switch (params.type()) {
+    case Json::Type::String: {
+      const std::string& s = params.as_string();
+      if (s == "$.input") return input;
+      if (s.rfind("$.input.", 0) == 0) return input.at_path(s.substr(8));
+      if (s.rfind("$.steps.", 0) == 0) {
+        std::string rest = s.substr(8);
+        size_t dot = rest.find('.');
+        auto it = steps.find(rest.substr(0, dot));
+        if (it == steps.end()) return Json();
+        if (dot == std::string::npos) return it->second;
+        return it->second.at_path(rest.substr(dot + 1));
+      }
+      return params;
+    }
+    case Json::Type::Array: {
+      Json out = Json::array();
+      for (const auto& v : params.as_array()) {
+        out.push_back(resolve_from_scratch(v, input, steps));
+      }
+      return out;
+    }
+    case Json::Type::Object: {
+      Json out = Json::object();
+      for (const auto& [k, v] : params.as_object()) {
+        out[k] = resolve_from_scratch(v, input, steps);
+      }
+      return out;
+    }
+    default:
+      return params;
+  }
+}
+
+/// Records the serialized params of every start; each action succeeds at
+/// its first poll with output {"out": {"v": <start index>}}, except that
+/// the first start carrying "fail_once" fails.
+class RecordingProvider final : public ActionProvider {
+ public:
+  std::string name() const override { return "rec"; }
+  util::Result<ActionHandle> start(const Json& params,
+                                   const auth::Token&) override {
+    seen.push_back(params.dump());
+    bool fail = params.at("fail_once").as_bool(false) && !failed_;
+    failed_ = failed_ || fail;
+    fails.push_back(fail);
+    return util::Result<ActionHandle>::ok(std::to_string(seen.size() - 1));
+  }
+  ActionPollResult poll(const ActionHandle& handle) override {
+    ActionPollResult out;
+    size_t i = std::stoul(handle);
+    if (fails[i]) {
+      out.status = ActionStatus::Failed;
+      out.error = "scripted";
+      return out;
+    }
+    out.status = ActionStatus::Succeeded;
+    out.output = Json::object(
+        {{"out", Json::object({{"v", static_cast<int64_t>(i)}})}});
+    return out;
+  }
+  std::vector<std::string> seen;
+  std::vector<bool> fails;
+
+ private:
+  bool failed_ = false;
+};
+
+TEST(DispatchPlan, ProviderSeesParamsByteIdenticalToFreshResolution) {
+  auto params = [](const char* text) { return Json::parse(text).value(); };
+  auto state = [](std::string name, Json p) {
+    ActionState s;
+    s.name = std::move(name);
+    s.provider = "rec";
+    s.params = std::move(p);
+    s.max_retries = 1;
+    return s;
+  };
+  auto def = std::make_shared<const FlowDefinition>(FlowDefinition{
+      "shapes",
+      {
+          state("A", params(R"({"whole": "$.input", "deep": "$.input.b.c",
+                   "missing": "$.input.nope.x", "lit": "plain", "n": 7,
+                   "arr": ["$.input.a", 3, {"k": "$.input.b"}],
+                   "empty_key": "$.input.",
+                   "flow_attempt_epoch": "$.input.a"})")),
+          state("B", params(R"({"prev": "$.steps.A", "v": "$.steps.A.out.v",
+                   "future": "$.steps.C.out", "unknown": "$.steps.Z",
+                   "fail_once": true})")),
+          state("A", params(R"({"dup": "$.steps.A.out.v"})")),
+          state("C", params(R"("$.input")")),
+          state("D", params(R"([1, "$.input.a"])")),
+          state("E", params(R"({"dup": "$.steps.A.out", "c": "$.steps.C"})")),
+      }});
+  sim::Engine engine;
+  auth::AuthService auth;
+  FlowService service(&engine, &auth, {}, 11);
+  RecordingProvider provider;
+  service.register_provider(&provider);
+  auth::Token token = auth.issue("u", {"flows"});
+  const Json input[2] = {
+      params(R"({"a": 1, "b": {"c": "x"}, "": 5})"),
+      params(R"({"a": [2, 3], "b": {"c": {"deep": true}}, "": "e"})"),
+  };
+  // Two runs interleave on the shared plan's templates.
+  for (const Json& in : input) ASSERT_TRUE(service.start(def, in, token));
+  engine.run();
+
+  // Replay each run's dispatches against the reference: step k sees the
+  // outputs of the steps completed before it, by name.
+  std::map<std::string, Json> done[2];
+  size_t next_step[2] = {0, 0};
+  ASSERT_EQ(provider.seen.size(), 2 * def->steps.size() + 1);  // one retry
+  for (size_t i = 0; i < provider.seen.size(); ++i) {
+    Json got = Json::parse(provider.seen[i]).value();
+    // Runs alternate by start order; identify by the resolved input.
+    int r = -1;
+    for (int k = 0; k < 2; ++k) {
+      if (next_step[k] == def->steps.size()) continue;  // run k finished
+      Json expect = resolve_from_scratch(def->steps[next_step[k]].params,
+                                         input[k], done[k]);
+      expect["flow_attempt_epoch"] = got.at("flow_attempt_epoch");
+      if (expect.dump() == provider.seen[i]) r = k;
+    }
+    ASSERT_GE(r, 0) << "no run's fresh resolution matches " << provider.seen[i];
+    if (provider.fails[i]) continue;  // re-dispatched with the same step
+    done[r][def->steps[next_step[r]].name] = Json::object(
+        {{"out", Json::object({{"v", static_cast<int64_t>(i)}})}});
+    ++next_step[r];
+  }
+  EXPECT_EQ(next_step[0], def->steps.size());
+  EXPECT_EQ(next_step[1], def->steps.size());
+}
+
+/// Starts a second run from inside its first start() call, by advancing
+/// the engine past that run's own dispatch of the same step.
+class ReentrantProvider final : public ActionProvider {
+ public:
+  explicit ReentrantProvider(sim::Engine* engine) : engine_(engine) {}
+  std::string name() const override { return "reentrant"; }
+  util::Result<ActionHandle> start(const Json& params,
+                                   const auth::Token&) override {
+    std::string before = params.dump();
+    seen.push_back(before);
+    if (seen.size() == 1) {
+      engine_->run_until(engine_->now() + sim::Duration::from_seconds(60));
+    }
+    unchanged = unchanged && params.dump() == before;
+    return util::Result<ActionHandle>::ok("h");
+  }
+  ActionPollResult poll(const ActionHandle&) override {
+    ActionPollResult out;
+    out.status = ActionStatus::Succeeded;
+    return out;
+  }
+  std::vector<std::string> seen;
+  bool unchanged = true;
+
+ private:
+  sim::Engine* engine_;
+};
+
+TEST(DispatchPlan, NestedDispatchOfTheSameStepLeavesOuterParamsAlone) {
+  sim::Engine engine;
+  auth::AuthService auth;
+  FlowService service(&engine, &auth, {}, 5);
+  ReentrantProvider provider(&engine);
+  service.register_provider(&provider);
+  auth::Token token = auth.issue("u", {"flows"});
+  ActionState only;
+  only.name = "Only";
+  only.provider = "reentrant";
+  only.params = Json::object({{"who", "$.input.who"}});
+  auto def = std::make_shared<const FlowDefinition>(
+      FlowDefinition{"nested", {only}});
+  ASSERT_TRUE(service.start(def, Json::object({{"who", "outer"}}), token));
+  ASSERT_TRUE(service.start(def, Json::object({{"who", "inner"}}), token));
+  engine.run();
+  ASSERT_EQ(provider.seen.size(), 2u);
+  // The second run dispatched while the first one's start() was on the
+  // stack holding its params.
+  EXPECT_NE(provider.seen[0], provider.seen[1]);
+  EXPECT_TRUE(provider.unchanged) << provider.seen[0];
+  EXPECT_NE(provider.seen[0].find("outer"), std::string::npos);
+  EXPECT_NE(provider.seen[1].find("inner"), std::string::npos);
 }
 
 TEST_F(FlowFixture, FailedStepFailsRunWithoutRetries) {
@@ -816,7 +1007,7 @@ TEST(DefinitionIo, ParsedDefinitionActuallyRuns) {
   engine.run();
   const RunInfo& info = service.info(run.value());
   EXPECT_EQ(info.state, RunState::Succeeded);
-  EXPECT_EQ(info.step_outputs.at("A").at("echo").as_string(), "hello");
+  EXPECT_EQ(info.step_outputs.at(0).at("echo").as_string(), "hello");
 }
 
 }  // namespace

@@ -275,5 +275,165 @@ TEST(Engine, RunUntilThenResumeMatchesSingleRun) {
   }
 }
 
+// ---- Cancel slots: handles are (slot, generation) pairs into the engine's
+// table, so a handle must go stale the moment its event fires or is
+// reclaimed, whatever event takes the slot next.
+
+TEST(CancelSlots, StaleHandleCannotCancelTheSlotsNextEvent) {
+  for (auto backend : {Engine::Backend::Heap, Engine::Backend::Wheel}) {
+    Engine engine(backend);
+    int a = 0, b = 0;
+    EventHandle first = engine.schedule_at(SimTime{kTickNs}, [&] { ++a; });
+    engine.run();
+    ASSERT_EQ(a, 1);
+    EXPECT_EQ(engine.cancel_slots_in_use(), 0u);
+    first.cancel();  // after fire: no-op
+    EXPECT_EQ(engine.cancelled_total(), 0u);
+
+    // The next cancellable event reuses the freed slot; the old handle
+    // must not reach it.
+    EventHandle second =
+        engine.schedule_at(SimTime{2 * kTickNs}, [&] { ++b; });
+    EXPECT_EQ(engine.cancel_slots_in_use(), 1u);
+    first.cancel();
+    EXPECT_EQ(engine.cancelled_total(), 0u);
+    EXPECT_EQ(engine.cancelled_pending(), 0u);
+    engine.run();
+    EXPECT_EQ(b, 1) << engine.backend_name();
+    second.cancel();
+    EXPECT_EQ(engine.cancelled_total(), 0u) << engine.backend_name();
+  }
+}
+
+TEST(CancelSlots, CancelFromInsideOwnCallbackIsANoOp) {
+  for (auto backend : {Engine::Backend::Heap, Engine::Backend::Wheel}) {
+    Engine engine(backend);
+    EventHandle self;
+    bool later = false;
+    self = engine.schedule_at(SimTime{kTickNs}, [&] {
+      self.cancel();
+      // Reuses the slot just released; the stale cancel above and below
+      // must leave it armed.
+      engine.schedule_after(Duration{kTickNs}, [&] { later = true; });
+      self.cancel();
+    });
+    engine.run();
+    EXPECT_TRUE(later) << engine.backend_name();
+    EXPECT_EQ(engine.cancelled_total(), 0u);
+    EXPECT_EQ(engine.cancel_slots_in_use(), 0u);
+  }
+}
+
+TEST(CancelSlots, HandleOutlivingItsEngineStaysSafe) {
+  EventHandle pending, fired, cancelled;
+  {
+    Engine engine(Engine::Backend::Wheel);
+    fired = engine.schedule_at(SimTime{kTickNs}, [] {});
+    pending = engine.schedule_at(SimTime{100 * kTickNs}, [] {});
+    cancelled = engine.schedule_at(SimTime{100 * kTickNs}, [] {});
+    cancelled.cancel();
+    engine.run_until(SimTime{2 * kTickNs});
+  }
+  // The engine (and its queue) is gone; the handles only keep the cancel
+  // table alive. Every call is a harmless no-op.
+  EXPECT_TRUE(pending.valid());
+  pending.cancel();
+  pending.cancel();
+  fired.cancel();
+  cancelled.cancel();
+  EventHandle copy = pending;
+  pending = EventHandle();
+  copy.cancel();
+}
+
+TEST(CancelSlots, CompactionReleasesSlotsAndKeepsCounterMeanings) {
+  for (auto backend : {Engine::Backend::Heap, Engine::Backend::Wheel}) {
+    Engine engine(backend);
+    std::vector<EventHandle> doomed;
+    for (int i = 0; i < 10000; ++i) {
+      doomed.push_back(
+          engine.schedule_at(SimTime{(1000 + i) * kTickNs}, [] {}));
+    }
+    int survivors = 0;
+    std::vector<EventHandle> kept;
+    for (int i = 0; i < 100; ++i) {
+      kept.push_back(engine.schedule_at(SimTime{(500000 + i) * kTickNs},
+                                        [&] { ++survivors; }));
+    }
+    EXPECT_EQ(engine.cancel_slots_in_use(), 10100u);
+    for (EventHandle& h : doomed) h.cancel();
+    EXPECT_EQ(engine.cancelled_total(), 10000u);  // lifetime cancels
+    EXPECT_EQ(engine.cancelled_pending(), 10000u);  // not yet reclaimed
+    // Any queue activity past the floor triggers the sweep.
+    engine.post_at(SimTime{kTickNs}, [] {});
+    EXPECT_EQ(engine.compactions(), 1u) << engine.backend_name();
+    EXPECT_EQ(engine.cancelled_pending(), 0u);
+    EXPECT_EQ(engine.cancelled_total(), 10000u);
+    EXPECT_EQ(engine.cancel_slots_in_use(), 100u);  // only the survivors'
+    // Reclaimed handles are stale: re-cancelling changes nothing, and the
+    // freed slots serve new events without the old handles reaching them.
+    for (EventHandle& h : doomed) h.cancel();
+    EXPECT_EQ(engine.cancelled_total(), 10000u);
+    int reused = 0;
+    for (int i = 0; i < 10000; ++i) {
+      engine.schedule_at(SimTime{(2000 + i) * kTickNs}, [&] { ++reused; });
+    }
+    for (EventHandle& h : doomed) h.cancel();
+    EXPECT_EQ(engine.cancelled_pending(), 0u);
+    engine.run();
+    EXPECT_EQ(reused, 10000) << engine.backend_name();
+    EXPECT_EQ(survivors, 100);
+    EXPECT_EQ(engine.cancel_slots_in_use(), 0u);
+    EXPECT_EQ(engine.events_processed(), 10101u);
+  }
+}
+
+TEST_P(BackendParity, IdenticalUnderInCallbackCancelsAndSlotReuse) {
+  // Callbacks arm timers and cancel random handles — live, already fired,
+  // already cancelled, or stale after slot reuse — mid-run. Both backends
+  // must fire the same events and agree on every cancel counter.
+  struct Outcome {
+    std::vector<int> fired;
+    uint64_t cancelled_total = 0;
+    uint64_t events = 0;
+    bool operator==(const Outcome&) const = default;
+  };
+  auto run = [&](Engine::Backend backend) {
+    util::Rng rng(GetParam());
+    Engine engine(backend);
+    Outcome out;
+    std::vector<EventHandle> handles;
+    int next_id = 0;
+    std::function<void(int)> step = [&](int depth) {
+      out.fired.push_back(next_id++);
+      if (!handles.empty() && rng.chance(0.5)) {
+        handles[static_cast<size_t>(
+                    rng.uniform(0, static_cast<double>(handles.size()) - 0.01))]
+            .cancel();
+      }
+      if (depth == 0) return;
+      for (int i = 0; i < 2; ++i) {
+        handles.push_back(engine.schedule_after(
+            Duration{static_cast<int64_t>(rng.uniform(0, 40.0 * kTickNs))},
+            [&step, depth] { step(depth - 1); }));
+      }
+    };
+    for (int i = 0; i < 20; ++i) {
+      handles.push_back(engine.schedule_at(
+          SimTime{static_cast<int64_t>(rng.uniform(0, 50)) * kTickNs},
+          [&step] { step(6); }));
+    }
+    engine.run();
+    out.cancelled_total = engine.cancelled_total();
+    out.events = engine.events_processed();
+    EXPECT_EQ(engine.cancelled_pending(), 0u);
+    EXPECT_EQ(engine.cancel_slots_in_use(), 0u);
+    return out;
+  };
+  Outcome heap = run(Engine::Backend::Heap);
+  EXPECT_GT(heap.cancelled_total, 0u);
+  EXPECT_TRUE(heap == run(Engine::Backend::Wheel));
+}
+
 }  // namespace
 }  // namespace pico::sim
