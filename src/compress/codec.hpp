@@ -53,6 +53,12 @@ class RleCodec final : public Codec {
   std::string name() const override { return "rle"; }
   Bytes compress(ByteView input) const override;
   util::Result<Bytes> decompress(const Bytes& input) const override;
+
+  /// Upper bound on compress(input).size() for an n-byte input.
+  static size_t max_compressed_size(size_t n) { return n + n / 128 + 1; }
+  /// compress() written straight to `out`, which must hold
+  /// max_compressed_size(input.size()) bytes; returns the bytes written.
+  size_t compress_into(ByteView input, uint8_t* out) const;
 };
 
 /// Per-byte delta + RLE of the deltas; wins on smooth image rows.

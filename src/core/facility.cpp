@@ -420,7 +420,8 @@ util::Result<Json> Facility::run_spatiotemporal_analysis(const Json& args) {
   const size_t frame_count = stack.value().dim(0);
   std::vector<std::vector<vision::Detection>> detections(frame_count);
   util::shared_pool().parallel_for(frame_count, [&](size_t t) {
-    detections[t] = detector.detect(stack.value().slice0(t));
+    detections[t] =
+        detector.detect(vision::FrameView::of_stack(stack.value(), t));
   });
   vision::GreedyIoUTracker tracker;
   size_t total_detections = 0;

@@ -10,7 +10,22 @@
 namespace pico::video {
 namespace {
 constexpr char kMagic[4] = {'M', 'P', 'K', '1'};
+
+/// Bytes of v as an unsigned LEB128 varint (util::ByteWriter::varint).
+size_t varint_size(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
 }
+
+/// util::ByteWriter::varint's encoding, written in place at p.
+size_t write_varint(uint8_t* p, uint64_t v) {
+  size_t n = 0;
+  for (; v >= 0x80; v >>= 7) p[n++] = static_cast<uint8_t>(v) | 0x80;
+  p[n++] = static_cast<uint8_t>(v);
+  return n;
+}
+}  // namespace
 
 MpkVideo MpkVideo::from_stack(const tensor::Tensor<uint8_t>& stack) {
   assert(stack.rank() == 3);
@@ -32,7 +47,16 @@ void MpkVideo::append_frame(tensor::Tensor<uint8_t> frame) {
 }
 
 std::vector<uint8_t> MpkVideo::to_bytes(bool compress) const {
+  // Frames are encoded straight into the output: reserve the worst case up
+  // front, leave room for the largest length varint, then close the gap if
+  // the actual length's varint came out shorter.
+  const size_t frame_bytes = height_ * width_;
+  const size_t bound =
+      compress ? compress::RleCodec::max_compressed_size(frame_bytes)
+               : frame_bytes;
+  const size_t len_room = varint_size(bound);
   std::vector<uint8_t> out;
+  out.reserve(32 + frames_.size() * (len_room + bound));
   util::ByteWriter w(&out);
   w.bytes(kMagic, 4);
   w.u8(compress ? 1 : 0);
@@ -41,15 +65,20 @@ std::vector<uint8_t> MpkVideo::to_bytes(bool compress) const {
   w.varint(frames_.size());
   compress::RleCodec rle;
   for (const auto& f : frames_) {
-    std::vector<uint8_t> raw(f.data().begin(), f.data().end());
-    if (compress) {
-      std::vector<uint8_t> packed = rle.compress(raw);
-      w.varint(packed.size());
-      w.bytes(packed.data(), packed.size());
-    } else {
-      w.varint(raw.size());
-      w.bytes(raw.data(), raw.size());
+    if (!compress) {
+      w.varint(f.size());
+      w.bytes(f.data().data(), f.size());
+      continue;
     }
+    const size_t at = out.size();
+    out.resize(at + len_room + bound);
+    const size_t packed = rle.compress_into(f.data(), out.data() + at + len_room);
+    const size_t len_size = write_varint(out.data() + at, packed);
+    if (len_size < len_room) {
+      std::memmove(out.data() + at + len_size, out.data() + at + len_room,
+                   packed);
+    }
+    out.resize(at + len_size + packed);
   }
   return out;
 }

@@ -2,18 +2,69 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
-#include "tensor/ops.hpp"
+#include "vision/kernels.hpp"
 
 namespace pico::vision {
 namespace {
+
+/// Row-major [h, w] plane in per-thread scratch, indexed like a tensor.
+template <typename T>
+struct Plane {
+  const T* data;
+  size_t h, w;
+  T operator()(size_t y, size_t x) const { return data[y * w + x]; }
+};
+using SmoothPlane = Plane<double>;
+using MaskPlane = Plane<uint8_t>;
+
+struct Peak {
+  long y, x;
+  double v;
+};
+
+struct Cluster {
+  double peak_v = 0;
+  long cy1, cx1, cy2, cx2;
+  bool any = false;
+};
+
+/// Everything one detect() call needs besides its result, kept per thread
+/// and grown to the largest frame (and component) seen: the pipeline then
+/// runs with no allocation per frame beyond its result. `keys` serves the
+/// median/MAD selection and then the labelling queue.
+struct Scratch {
+  std::vector<double> taps, pad, tmp, smooth;
+  std::vector<const double*> rows;
+  std::vector<uint16_t> digits;
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> hist;
+  std::vector<uint8_t> mask;
+  std::vector<Component> components;
+  std::vector<Peak> peaks;
+  std::vector<std::pair<long, long>> kept;
+  std::vector<Cluster> clusters;
+  std::vector<util::Box> boxes;
+
+  template <typename T>
+  static T* at_least(std::vector<T>& v, size_t n) {
+    if (v.size() < n) v.resize(n);
+    return v.data();
+  }
+};
+
+Scratch& thread_scratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
 
 /// Tight box over the component's bright core: pixels within the component's
 /// bounding region whose (smoothed) intensity clears
 /// thr + core_level_frac * (local peak - thr). The soft PSF rim that the
 /// Otsu mask includes is excluded, so the box tracks the particle's physical
 /// extent rather than its glow.
-util::Box refine_core_box(const ImageF& smooth, const Component& comp,
+util::Box refine_core_box(const SmoothPlane& smooth, const Component& comp,
                           double thr, double core_level_frac) {
   long y1 = static_cast<long>(comp.box.y);
   long x1 = static_cast<long>(comp.box.x);
@@ -48,23 +99,18 @@ util::Box refine_core_box(const ImageF& smooth, const Component& comp,
 /// at least `min_sep` pixels apart (stronger peak wins). Touching particles
 /// merge into one Otsu component; its intensity surface still carries one
 /// summit per particle, so peak count recovers the particle count.
-std::vector<std::pair<long, long>> find_peaks_in_box(const ImageF& smooth,
-                                                     const ImageU8& mask,
-                                                     const util::Box& box,
-                                                     double floor_level,
-                                                     double min_sep) {
+void find_peaks_in_box(const SmoothPlane& smooth, const MaskPlane& mask,
+                       const util::Box& box, double floor_level,
+                       double min_sep, std::vector<Peak>& peaks,
+                       std::vector<std::pair<long, long>>& kept) {
   long y1 = static_cast<long>(box.y);
   long x1 = static_cast<long>(box.x);
   long y2 = static_cast<long>(box.y2() - 1);
   long x2 = static_cast<long>(box.x2() - 1);
-  const long h = static_cast<long>(smooth.dim(0));
-  const long w = static_cast<long>(smooth.dim(1));
+  const long h = static_cast<long>(smooth.h);
+  const long w = static_cast<long>(smooth.w);
 
-  struct Peak {
-    long y, x;
-    double v;
-  };
-  std::vector<Peak> peaks;
+  peaks.clear();
   for (long y = y1; y <= y2; ++y) {
     for (long x = x1; x <= x2; ++x) {
       if (!mask(static_cast<size_t>(y), static_cast<size_t>(x))) continue;
@@ -104,7 +150,7 @@ std::vector<std::pair<long, long>> find_peaks_in_box(const ImageF& smooth,
     return lowest;
   };
 
-  std::vector<std::pair<long, long>> kept;
+  kept.clear();
   for (const auto& p : peaks) {
     bool shadowed = false;
     for (const auto& [ky, kx] : kept) {
@@ -126,27 +172,23 @@ std::vector<std::pair<long, long>> find_peaks_in_box(const ImageF& smooth,
     }
     if (!shadowed) kept.emplace_back(p.y, p.x);
   }
-  return kept;
 }
 
 /// Split a merged component into per-peak boxes: every mask pixel in the
 /// region is assigned to its nearest peak, each cluster is core-refined
 /// independently.
-std::vector<util::Box> split_by_peaks(
-    const ImageF& smooth, const ImageU8& mask, const Component& comp,
-    const std::vector<std::pair<long, long>>& peaks, double thr,
-    double core_level_frac) {
+void split_by_peaks(const SmoothPlane& smooth, const MaskPlane& mask,
+                    const Component& comp,
+                    const std::vector<std::pair<long, long>>& peaks,
+                    double thr, double core_level_frac,
+                    std::vector<Cluster>& clusters,
+                    std::vector<util::Box>& out) {
   long y1 = static_cast<long>(comp.box.y);
   long x1 = static_cast<long>(comp.box.x);
   long y2 = static_cast<long>(comp.box.y2() - 1);
   long x2 = static_cast<long>(comp.box.x2() - 1);
 
-  struct Cluster {
-    double peak_v = 0;
-    long cy1, cx1, cy2, cx2;
-    bool any = false;
-  };
-  std::vector<Cluster> clusters(peaks.size());
+  clusters.assign(peaks.size(), Cluster{});
   for (size_t k = 0; k < peaks.size(); ++k) {
     clusters[k].peak_v = smooth(static_cast<size_t>(peaks[k].first),
                                 static_cast<size_t>(peaks[k].second));
@@ -183,7 +225,6 @@ std::vector<util::Box> split_by_peaks(
     }
   }
 
-  std::vector<util::Box> out;
   for (const auto& c : clusters) {
     if (!c.any) continue;
     out.push_back(util::Box{static_cast<double>(c.cx1),
@@ -191,16 +232,44 @@ std::vector<util::Box> split_by_peaks(
                             static_cast<double>(c.cx2 - c.cx1 + 1),
                             static_cast<double>(c.cy2 - c.cy1 + 1)});
   }
-  return out;
 }
 
 }  // namespace
 
 std::vector<Detection> BlobDetector::detect(const ImageF& frame) const {
-  std::vector<Detection> out;
-  if (frame.rank() != 2 || frame.size() == 0) return out;
+  if (frame.rank() != 2) return {};
+  return detect(FrameView::of(frame));
+}
 
-  ImageF smooth = gaussian_blur(frame, config_.blur_sigma);
+std::vector<Detection> BlobDetector::detect(FrameView frame) const {
+  std::vector<Detection> out;
+  const size_t n = frame.size();
+  if (n == 0) return out;
+  const size_t fh = frame.height, fw = frame.width;
+  Scratch& s = thread_scratch();
+
+  // Blur into scratch, folding the smoothed frame's range into the vertical
+  // pass (sigma <= 0 keeps the frame as is, like gaussian_blur).
+  const double* smooth_data = frame.data;
+  detail::Range range{std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity()};
+  if (config_.blur_sigma > 0) {
+    detail::gaussian_taps(config_.blur_sigma, s.taps);
+    double* tmp = Scratch::at_least(s.tmp, n);
+    double* blurred = Scratch::at_least(s.smooth, n);
+    detail::blur_horizontal(frame.data, fw, s.taps, tmp, 0, fh,
+                            Scratch::at_least(s.pad, fw + s.taps.size() - 1));
+    range = detail::blur_vertical(tmp, fh, fw, s.taps, blurred, 0, fh,
+                                  Scratch::at_least(s.rows, s.taps.size()));
+    smooth_data = blurred;
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const double v = frame.data[i];
+      range.lo = v < range.lo ? v : range.lo;
+      range.hi = v > range.hi ? v : range.hi;
+    }
+  }
+  const SmoothPlane smooth{smooth_data, fh, fw};
 
   // Noise rejection: a frame with no blob-like structure has its maximum
   // within a few (robust) standard deviations of the background; Otsu would
@@ -208,24 +277,27 @@ std::vector<Detection> BlobDetector::detect(const ImageF& frame) const {
   // than mean + stddev so bright particles covering a sizable area fraction
   // don't inflate the scale estimate and mask themselves.
   {
-    std::vector<double> values(smooth.data().begin(), smooth.data().end());
-    auto mid = values.begin() + static_cast<ptrdiff_t>(values.size() / 2);
-    std::nth_element(values.begin(), mid, values.end());
-    double median = *mid;
-    for (double& v : values) v = std::abs(v - median);
-    std::nth_element(values.begin(), mid, values.end());
-    double robust_sigma = 1.4826 * *mid + 1e-12;
-    double peak = tensor::max_value(smooth);
-    if (peak < median + config_.contrast_sigma * robust_sigma) return out;
+    const detail::RobustStats stats = detail::median_mad(
+        smooth_data, n, range.lo, range.hi, Scratch::at_least(s.digits, n),
+        Scratch::at_least(s.keys, n),
+        Scratch::at_least(s.hist, detail::kHistBins));
+    double robust_sigma = 1.4826 * stats.mad + 1e-12;
+    double peak = range.hi;
+    if (peak < stats.median + config_.contrast_sigma * robust_sigma) return out;
   }
 
-  double thr = otsu_threshold(smooth);
-  ImageU8 mask = threshold_mask(smooth, thr);
-  auto components = connected_components(mask, smooth);
+  double thr = detail::otsu_threshold(smooth_data, n, range.lo, range.hi);
+  uint8_t* mask_data = Scratch::at_least(s.mask, n);
+  detail::frame_kernels().threshold_mask(smooth_data, n, thr, mask_data);
+  std::vector<Component>& components = s.components;
+  components.clear();
+  detail::label_components(mask_data, smooth_data, fh, fw, s.keys.data(),
+                           components);
+  const MaskPlane mask{mask_data, fh, fw};
 
-  const double frame_area = static_cast<double>(frame.size());
-  const double w = static_cast<double>(frame.dim(1));
-  const double h = static_cast<double>(frame.dim(0));
+  const double frame_area = static_cast<double>(n);
+  const double w = static_cast<double>(fw);
+  const double h = static_cast<double>(fh);
 
   for (const auto& comp : components) {
     if (comp.area < config_.min_area_px) continue;
@@ -243,14 +315,16 @@ std::vector<Detection> BlobDetector::detect(const ImageF& frame) const {
     // Touching particles merge into one component; split it at its
     // intensity summits (one per particle) before boxing.
     double peak_floor = thr + 0.35 * (std::max(mean, thr) - thr);
-    auto peaks = find_peaks_in_box(
+    find_peaks_in_box(
         smooth, mask, comp.box, peak_floor,
-        std::max(2.5, std::sqrt(static_cast<double>(comp.area)) * 0.5));
+        std::max(2.5, std::sqrt(static_cast<double>(comp.area)) * 0.5),
+        s.peaks, s.kept);
 
-    std::vector<util::Box> boxes;
-    if (peaks.size() >= 2) {
-      boxes = split_by_peaks(smooth, mask, comp, peaks, thr,
-                             config_.core_level_frac);
+    std::vector<util::Box>& boxes = s.boxes;
+    boxes.clear();
+    if (s.kept.size() >= 2) {
+      split_by_peaks(smooth, mask, comp, s.kept, thr, config_.core_level_frac,
+                     s.clusters, boxes);
     }
     if (boxes.empty()) {
       boxes.push_back(

@@ -44,6 +44,10 @@ class BlobDetector {
 
   /// Detect bright blobs in one frame. Deterministic, no training required.
   std::vector<Detection> detect(const ImageF& frame) const;
+  /// Same, on a frame view (e.g. one frame of a [T, H, W] stack, uncopied).
+  /// Runs in per-thread scratch: no allocation beyond the returned vector
+  /// once the thread has seen a frame this large.
+  std::vector<Detection> detect(FrameView frame) const;
 
   const DetectorConfig& config() const { return config_; }
 

@@ -14,11 +14,31 @@ namespace pico::vision {
 using ImageF = tensor::Tensor<double>;
 using ImageU8 = tensor::Tensor<uint8_t>;
 
+/// Read-only view of one row-major [height, width] fp64 frame: an ImageF, or
+/// frame t of a [T, H, W] stack without copying it out.
+struct FrameView {
+  const double* data = nullptr;
+  size_t height = 0;
+  size_t width = 0;
+
+  size_t size() const { return height * width; }
+  /// A rank-2 image.
+  static FrameView of(const ImageF& image) {
+    return FrameView{image.data().data(), image.dim(0), image.dim(1)};
+  }
+  /// Frame t of a rank-3 [T, H, W] stack.
+  static FrameView of_stack(const tensor::Tensor<double>& stack, size_t t) {
+    const size_t h = stack.dim(1), w = stack.dim(2);
+    return FrameView{stack.data().data() + t * h * w, h, w};
+  }
+};
+
 /// Separable Gaussian blur with reflective borders. sigma <= 0 returns input.
-/// Interior pixels take a fast path with no per-pixel border clamping; with a
-/// pool, rows of each separable pass are distributed across it. Both choices
-/// preserve the per-pixel tap order, so output is bit-identical to the
-/// sequential clamped implementation for any pool width.
+/// Rows are read through a reflect-padded copy (no per-tap border test) and
+/// vectorised across adjacent pixels; with a pool, rows of each separable
+/// pass are distributed across it. Every choice preserves the per-pixel tap
+/// order and roundings, so output is bit-identical to the sequential
+/// clamped scalar implementation for any pool width and SIMD backend.
 ImageF gaussian_blur(const ImageF& image, double sigma,
                      util::ThreadPool* pool = nullptr);
 
