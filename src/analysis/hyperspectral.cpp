@@ -6,6 +6,7 @@
 #include <map>
 
 #include "tensor/ops.hpp"
+#include "tensor/simd/simd.hpp"
 
 namespace pico::analysis {
 
@@ -20,6 +21,23 @@ tensor::Tensor<double> sum_spectrum(const tensor::Tensor<double>& cube,
   assert(cube.rank() == 3);
   return pool ? tensor::sum_keep_axis3(cube, 2, *pool)
               : tensor::sum_keep_axis3(cube, 2);
+}
+
+IntensityAndSpectrum intensity_and_spectrum(
+    const tensor::ConstView<double>& cube) {
+  assert(cube.rank() == 3);
+  const size_t pixels = cube.dim(0) * cube.dim(1), e = cube.dim(2);
+  IntensityAndSpectrum out{tensor::Tensor<double>(
+                               tensor::Shape{cube.dim(0), cube.dim(1)}),
+                           tensor::Tensor<double>(tensor::Shape{e})};
+  const double* row = cube.data().data();
+  double* intensity = out.intensity.data().data();
+  double* spectrum = out.spectrum.data().data();
+  for (size_t px = 0; px < pixels; ++px, row += e) {
+    intensity[px] = tensor::simd::sum_f64(row, e);
+    tensor::simd::add_f64(spectrum, row, e);
+  }
+  return out;
 }
 
 std::vector<Peak> find_peaks(const tensor::Tensor<double>& spectrum,
@@ -114,7 +132,7 @@ std::vector<ElementMatch> identify_elements(
   return matches;
 }
 
-tensor::Tensor<double> element_map(const tensor::Tensor<double>& cube,
+tensor::Tensor<double> element_map(const tensor::ConstView<double>& cube,
                                    const std::vector<double>& energy_axis,
                                    double line_kev,
                                    double window_half_width_kev) {
@@ -168,11 +186,13 @@ util::Json HyperspectralAnalysis::to_json() const {
 }
 
 HyperspectralAnalysis analyze_hyperspectral(
-    const tensor::Tensor<double>& cube, const std::vector<double>& energy_axis,
-    const PeakFindConfig& config, util::ThreadPool* pool) {
+    const tensor::ConstView<double>& cube,
+    const std::vector<double>& energy_axis, const PeakFindConfig& config,
+    util::ThreadPool* /*pool*/) {
   HyperspectralAnalysis out;
-  out.intensity = intensity_map(cube, pool);
-  out.spectrum = sum_spectrum(cube, pool);
+  IntensityAndSpectrum sums = intensity_and_spectrum(cube);
+  out.intensity = std::move(sums.intensity);
+  out.spectrum = std::move(sums.spectrum);
   out.peaks = find_peaks(out.spectrum, energy_axis, config);
   out.elements =
       identify_elements(out.peaks, instrument::XRayLineLibrary::standard());

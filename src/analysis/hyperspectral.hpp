@@ -23,6 +23,18 @@ tensor::Tensor<double> intensity_map(const tensor::Tensor<double>& cube,
 tensor::Tensor<double> sum_spectrum(const tensor::Tensor<double>& cube,
                                     util::ThreadPool* pool = nullptr);
 
+struct IntensityAndSpectrum {
+  tensor::Tensor<double> intensity;  ///< [H, W]
+  tensor::Tensor<double> spectrum;   ///< [E]
+};
+
+/// A and B in one pass over the cube: for each pixel's spectrum row,
+/// intensity[px] = simd::sum_f64(row) and spectrum += row. Each output keeps
+/// the association of its sequential twin (sum_axis3 / sum_keep_axis3), so
+/// both are bit-identical to intensity_map and sum_spectrum.
+IntensityAndSpectrum intensity_and_spectrum(
+    const tensor::ConstView<double>& cube);
+
 struct Peak {
   size_t channel = 0;
   double energy_kev = 0;
@@ -66,7 +78,7 @@ std::vector<ElementMatch> identify_elements(
 /// on one of the element's matched lines (standard EDS elemental mapping —
 /// "where in the sample is the gold?"). Window half-width defaults to twice
 /// the detector peak sigma.
-tensor::Tensor<double> element_map(const tensor::Tensor<double>& cube,
+tensor::Tensor<double> element_map(const tensor::ConstView<double>& cube,
                                    const std::vector<double>& energy_axis,
                                    double line_kev,
                                    double window_half_width_kev = 0.15);
@@ -80,8 +92,12 @@ struct HyperspectralAnalysis {
   util::Json to_json() const;             ///< summary for the search record
 };
 
+/// The cube is read once (intensity_and_spectrum). That pass is sequential:
+/// splitting it over a pool would reassociate the spectrum's per-channel
+/// sums, so `pool` is accepted for source compatibility and left unused.
 HyperspectralAnalysis analyze_hyperspectral(
-    const tensor::Tensor<double>& cube, const std::vector<double>& energy_axis,
-    const PeakFindConfig& config = {}, util::ThreadPool* pool = nullptr);
+    const tensor::ConstView<double>& cube,
+    const std::vector<double>& energy_axis, const PeakFindConfig& config = {},
+    util::ThreadPool* pool = nullptr);
 
 }  // namespace pico::analysis

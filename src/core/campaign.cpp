@@ -6,6 +6,7 @@
 
 #include "instrument/hyperspectral_gen.hpp"
 #include "instrument/spatiotemporal_gen.hpp"
+#include "util/crc64.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 #include "util/timefmt.hpp"
@@ -111,6 +112,9 @@ struct Driver : std::enable_shared_from_this<Driver> {
   /// Every staged object shares them; fault injection damages a private
   /// copy, so the driver's bytes stay pristine.
   storage::SharedBytes payload;
+  /// crc64(*payload), computed once where the payload is synthesized: every
+  /// cycle stages the same bytes under it instead of rescanning them.
+  uint64_t payload_crc = 0;
   int sequence = 0;
   /// Orchestrator blackout: completion notifications are lost while true;
   /// the journal replay at restart reconciles what was missed.
@@ -147,8 +151,8 @@ struct Driver : std::enable_shared_from_this<Driver> {
     facility->engine().schedule_after(
         sim::Duration::from_seconds(staging_s), [self, filename, index] {
           auto st = self->payload
-                        ? self->facility->stage_real_file(filename,
-                                                          self->payload)
+                        ? self->facility->stage_real_file(
+                              filename, self->payload, self->payload_crc)
                         : self->facility->stage_virtual_file(
                               filename, self->config.file_bytes);
           if (!st) {
@@ -382,9 +386,8 @@ struct Driver : std::enable_shared_from_this<Driver> {
   }
 };
 
-/// Synthesize the campaign's real acquisition, sized to ~config.file_bytes
-/// of raw fp64 data (the EMD container adds a small metadata envelope).
-/// Deterministic: fixed seeds, so repeated campaigns stage identical bytes.
+}  // namespace
+
 std::vector<uint8_t> synthesize_payload(const CampaignConfig& config) {
   emd::MicroscopeSettings scope;
   const double target = static_cast<double>(std::max<int64_t>(
@@ -417,8 +420,6 @@ std::vector<uint8_t> synthesize_payload(const CampaignConfig& config) {
       .to_bytes();
 }
 
-}  // namespace
-
 CampaignResult run_campaign(Facility& facility, const CampaignConfig& config) {
   CampaignResult result;
   result.config = config;
@@ -430,6 +431,7 @@ CampaignResult run_campaign(Facility& facility, const CampaignConfig& config) {
     auto bytes = synthesize_payload(config);
     driver->config.file_bytes = static_cast<int64_t>(bytes.size());
     result.config.file_bytes = driver->config.file_bytes;
+    driver->payload_crc = util::crc64(bytes);
     driver->payload =
         std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
   }

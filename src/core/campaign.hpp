@@ -164,4 +164,10 @@ struct CampaignResult {
 /// Run one campaign on a facility. Runs the engine to completion.
 CampaignResult run_campaign(Facility& facility, const CampaignConfig& config);
 
+/// The EMD bytes a `real_payloads` campaign stages every cycle: one
+/// synthesized acquisition of config.use_case, sized to ~config.file_bytes
+/// of raw fp64 data (the container adds a small metadata envelope).
+/// Deterministic: fixed seeds, so repeated campaigns stage identical bytes.
+std::vector<uint8_t> synthesize_payload(const CampaignConfig& config);
+
 }  // namespace pico::core

@@ -228,8 +228,10 @@ util::Status Facility::stage_real_file(const std::string& path,
 }
 
 util::Status Facility::stage_real_file(const std::string& path,
-                                       storage::SharedBytes bytes) {
-  return user_store_.put(path, std::move(bytes), engine_.now());
+                                       storage::SharedBytes bytes,
+                                       uint64_t crc64) {
+  return user_store_.put_with_crc(path, std::move(bytes), crc64,
+                                  engine_.now());
 }
 
 util::Result<const storage::Object*> Facility::data_object(
@@ -279,7 +281,8 @@ util::Result<Json> Facility::run_hyperspectral_analysis(const Json& args) {
 
   // Real path: parse EMD once, extract metadata + analyze (the paper fuses
   // both into a single Globus Compute function to avoid reading twice). The
-  // parse verifies every dataset CRC over views of the landed bytes.
+  // parse verifies every dataset CRC over views of the landed bytes, and the
+  // analysis reads the cube in place through a typed view of them.
   auto file = emd::File::from_shared(obj.value()->content);
   if (!file) return R::err(file.error());
   auto metadata = analysis::extract_metadata(file.value());
@@ -294,7 +297,7 @@ util::Result<Json> Facility::run_hyperspectral_analysis(const Json& args) {
                                ? &group->datasets.at("data")
                                : nullptr;
   if (!ds) return R::err("signal has no data dataset", "schema");
-  auto cube = ds->as<double>();
+  auto cube = ds->view<double>();
   if (!cube) return R::err(cube.error());
 
   // Energy axis from signal attributes.
@@ -311,8 +314,8 @@ util::Result<Json> Facility::run_hyperspectral_analysis(const Json& args) {
                                  static_cast<double>(channels);
   }
 
-  analysis::HyperspectralAnalysis result = analysis::analyze_hyperspectral(
-      cube.value(), energy_axis, {}, &util::shared_pool());
+  analysis::HyperspectralAnalysis result =
+      analysis::analyze_hyperspectral(cube.value(), energy_axis);
 
   // Artifacts: intensity map (Fig. 2A) + spectrum with element markers
   // (Fig. 2B), written to the real filesystem for the portal.
@@ -401,7 +404,7 @@ util::Result<Json> Facility::run_spatiotemporal_analysis(const Json& args) {
                                ? &group->datasets.at("data")
                                : nullptr;
   if (!ds) return R::err("signal has no data dataset", "schema");
-  auto stack = ds->as<double>();
+  auto stack = ds->view<double>();
   if (!stack) return R::err(stack.error());
 
   // EMD -> video conversion (the paper's fp64 -> uint8 bottleneck), then

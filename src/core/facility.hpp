@@ -128,9 +128,11 @@ class Facility {
   util::Status stage_real_file(const std::string& path,
                                std::vector<uint8_t> bytes);
   /// stage_real_file by reference: the staged object shares `bytes`, so a
-  /// payload staged every cycle is never copied.
+  /// payload staged every cycle is never copied, and takes their checksum
+  /// (`crc64` of `*bytes`) from the caller that made them, so it is not
+  /// rescanned either.
   util::Status stage_real_file(const std::string& path,
-                               storage::SharedBytes bytes);
+                               storage::SharedBytes bytes, uint64_t crc64);
 
  private:
   void build_topology();

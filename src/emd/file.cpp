@@ -12,6 +12,15 @@ namespace {
 
 using util::Json;
 
+/// Payload alignment within the file: the blob starts on this boundary and
+/// every dataset's offset in it is a multiple of it (a cache line, and a
+/// multiple of every dtype's alignment).
+constexpr uint64_t kPayloadAlign = 64;
+
+uint64_t align_up(uint64_t n) {
+  return (n + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
+}
+
 // ---- header (de)serialization ------------------------------------------
 
 // Dataset metadata entry in the JSON header.
@@ -33,7 +42,9 @@ Json group_to_json(const Group& g, std::vector<uint8_t>& blob) {
 
   Json datasets = Json::object();
   for (const auto& [name, ds] : g.datasets) {
-    const uint64_t offset = blob.size();
+    // Each payload starts on a 64-byte boundary of the blob (zero padding
+    // before it), so typed views read it in place.
+    const uint64_t offset = align_up(blob.size());
     auto raw = ds.raw();
     blob.resize(offset + raw.size());
     // Fused land+checksum: one traversal of the payload instead of an
@@ -74,6 +85,12 @@ util::Status group_from_json(const Json& j, const uint8_t* blob,
       if (v < 0) return util::Status::err("dataset " + name + ": bad shape", "parse");
       shape.push_back(static_cast<size_t>(v));
     }
+    const auto shape_bytes =
+        tensor::checked_shape_bytes(shape, tensor::dtype_size(dt.value()));
+    if (!shape_bytes) {
+      return util::Status::err("dataset " + name + ": shape overflows",
+                               "parse");
+    }
     // Stored CRC travels with the metadata so even header-only reads can
     // validate payload integrity later.
     uint64_t crc = 0;
@@ -87,14 +104,21 @@ util::Status group_from_json(const Json& j, const uint8_t* blob,
       }
     }
     Dataset ds = Dataset::from_meta(dt.value(), std::move(shape), crc);
-    uint64_t offset = static_cast<uint64_t>(meta.at("offset").as_int());
-    uint64_t nbytes = static_cast<uint64_t>(meta.at("nbytes").as_int());
-    if (nbytes != ds.nbytes()) {
+    const int64_t offset_field = meta.at("offset").as_int(-1);
+    const int64_t nbytes_field = meta.at("nbytes").as_int(-1);
+    if (offset_field < 0 || nbytes_field < 0) {
+      return util::Status::err("dataset " + name + ": bad offset/nbytes",
+                               "parse");
+    }
+    const uint64_t offset = static_cast<uint64_t>(offset_field);
+    const uint64_t nbytes = static_cast<uint64_t>(nbytes_field);
+    if (nbytes != *shape_bytes) {
       return util::Status::err("dataset " + name + ": nbytes/shape mismatch",
                                "parse");
     }
     if (with_payload) {
-      if (offset + nbytes > blob_size) {
+      // Subtraction form: `offset + nbytes` could wrap past blob_size.
+      if (offset > blob_size || nbytes > blob_size - offset) {
         return util::Status::err("dataset " + name + ": payload out of range",
                                  "parse");
       }
@@ -195,6 +219,11 @@ std::vector<uint8_t> File::to_bytes() const {
   std::vector<uint8_t> blob;
   Json header = group_to_json(root, blob);
   std::string header_text = header.dump();
+  // Trailing spaces (JSON whitespace) end the header where the blob starts on
+  // a 64-byte file offset; with the blob's own padding, every payload does.
+  constexpr uint64_t kPreamble = 16;  // magic | version | header_len
+  header_text.resize(align_up(kPreamble + header_text.size()) - kPreamble,
+                     ' ');
 
   std::vector<uint8_t> out;
   out.reserve(16 + header_text.size() + blob.size());

@@ -45,16 +45,29 @@ class Dataset {
   template <typename T>
   util::Result<tensor::Tensor<T>> as() const {
     using R = util::Result<tensor::Tensor<T>>;
-    if (dtype_ != tensor::dtype_of<T>()) {
-      return R::err("dtype mismatch: dataset is " +
-                        std::string(tensor::dtype_name(dtype_)),
-                    "type");
+    if (auto st = check_typed(tensor::dtype_of<T>()); !st) {
+      return R::err(st.error());
     }
-    if (!payload_loaded_) return R::err("payload not loaded", "state");
-    auto bytes = raw();
-    std::vector<T> data(element_count());
-    std::memcpy(data.data(), bytes.data(), bytes.size());
-    return R::ok(tensor::Tensor<T>(shape_, std::move(data)));
+    return R::ok(tensor::Tensor<T>(shape_, copy_elements<T>()));
+  }
+
+  /// Read the payload in place as typed elements, with the errors of as<T>().
+  /// Zero-copy when the payload is alignof(T)-aligned (every payload the
+  /// writer lays out since blobs are 64-byte aligned); otherwise the view
+  /// owns exactly one copy. A zero-copy view is valid while this Dataset
+  /// (or its File) is alive.
+  template <typename T>
+  util::Result<tensor::ConstView<T>> view() const {
+    using R = util::Result<tensor::ConstView<T>>;
+    if (auto st = check_typed(tensor::dtype_of<T>()); !st) {
+      return R::err(st.error());
+    }
+    const uint8_t* p = raw().data();
+    if (reinterpret_cast<uintptr_t>(p) % alignof(T) == 0) {
+      return R::ok(
+          tensor::ConstView<T>(reinterpret_cast<const T*>(p), shape_));
+    }
+    return R::ok(tensor::ConstView<T>::owning(copy_elements<T>(), shape_));
   }
 
   tensor::DType dtype() const { return dtype_; }
@@ -87,6 +100,27 @@ class Dataset {
 
  private:
   friend class File;
+  /// The typed accessors' shared errors: dtype mismatch ("type"), payload
+  /// absent ("state").
+  util::Status check_typed(tensor::DType want) const {
+    if (dtype_ != want) {
+      return util::Status::err("dtype mismatch: dataset is " +
+                                   std::string(tensor::dtype_name(dtype_)),
+                               "type");
+    }
+    if (!payload_loaded_) {
+      return util::Status::err("payload not loaded", "state");
+    }
+    return util::Status::ok();
+  }
+  template <typename T>
+  std::vector<T> copy_elements() const {
+    auto bytes = raw();
+    std::vector<T> data(element_count());
+    std::memcpy(data.data(), bytes.data(), bytes.size());
+    return data;
+  }
+
   tensor::DType dtype_ = tensor::DType::U8;
   tensor::Shape shape_;
   std::vector<uint8_t> raw_;

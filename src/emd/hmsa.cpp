@@ -177,7 +177,8 @@ util::Result<File> from_hmsa(const HmsaPair& pair) {
       } catch (const std::exception&) {
         return R::err("array " + name + ": bad offset/bytes", "parse");
       }
-      if (offset + nbytes > pair.binary.size()) {
+      if (offset > pair.binary.size() ||
+          nbytes > pair.binary.size() - offset) {
         return R::err("array " + name + ": payload out of range", "corrupt");
       }
 
@@ -191,9 +192,9 @@ util::Result<File> from_hmsa(const HmsaPair& pair) {
           }
         }
       }
-      size_t expected = tensor::shape_elements(shape) *
-                        tensor::dtype_size(dtype.value());
-      if (expected != nbytes) {
+      auto expected =
+          tensor::checked_shape_bytes(shape, tensor::dtype_size(dtype.value()));
+      if (!expected || *expected != nbytes) {
         return R::err("array " + name + ": shape/bytes mismatch", "parse");
       }
 

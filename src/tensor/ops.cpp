@@ -183,12 +183,12 @@ double max_value(const Tensor<double>& t) {
   return simd::minmax_f64(t.data().data(), t.size()).max;
 }
 
-MinMax minmax_value(const Tensor<double>& t) {
+MinMax minmax_value(const ConstView<double>& t) {
   simd::MinMax64 mm = simd::minmax_f64(t.data().data(), t.size());
   return MinMax{mm.min, mm.max};
 }
 
-MinMax minmax_value(const Tensor<double>& t, util::ThreadPool& pool) {
+MinMax minmax_value(const ConstView<double>& t, util::ThreadPool& pool) {
   auto src = t.data();
   MinMax identity{std::numeric_limits<double>::infinity(),
                   -std::numeric_limits<double>::infinity()};

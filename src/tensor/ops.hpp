@@ -39,11 +39,11 @@ struct MinMax {
   double min = 0;
   double max = 0;
 };
-MinMax minmax_value(const Tensor<double>& t);
+MinMax minmax_value(const ConstView<double>& t);
 
 /// Parallel fused min+max. min/max combination is order-independent, so the
 /// result equals the sequential scan exactly for any pool width.
-MinMax minmax_value(const Tensor<double>& t, util::ThreadPool& pool);
+MinMax minmax_value(const ConstView<double>& t, util::ThreadPool& pool);
 
 /// Linear rescale of arbitrary range to [0, 255]; constant input maps to 0.
 Tensor<uint8_t> to_u8_normalized(const Tensor<double>& t);

@@ -4,7 +4,9 @@
 // intensity maps [H, W], and spectra [E].
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,6 +21,63 @@ inline size_t shape_elements(const Shape& shape) {
   for (size_t d : shape) n *= d;
   return n;
 }
+
+/// Byte size of a shape of `elem_size`-byte elements, or nullopt when the
+/// product overflows size_t. Parsers size untrusted shapes through this one.
+inline std::optional<size_t> checked_shape_bytes(const Shape& shape,
+                                                 size_t elem_size) {
+  size_t n = elem_size;
+  for (size_t d : shape) {
+    if (__builtin_mul_overflow(n, d, &n)) return std::nullopt;
+  }
+  return n;
+}
+
+template <typename T>
+class Tensor;
+
+/// Read-only view of contiguous row-major elements: a pointer plus a shape.
+/// A view borrows: it is valid while the elements it points at are (a
+/// Tensor, or the File whose landed bytes it reads). The one exception is a
+/// view that owns its elements (`ConstView::owning`), the copy a misaligned
+/// payload falls back to. Every Tensor converts to a view implicitly, so a
+/// kernel that takes a view serves tensors and landed bytes alike.
+template <typename T>
+class ConstView {
+ public:
+  ConstView() = default;
+  ConstView(const T* data, Shape shape)
+      : data_(data), shape_(std::move(shape)) {}
+  ConstView(const Tensor<T>& t)  // implicit: every tensor is a view
+      : data_(t.data().data()), shape_(t.shape()) {}
+
+  /// A view that keeps `elements` alive for as long as any copy of it.
+  static ConstView owning(std::vector<T> elements, Shape shape) {
+    auto keep = std::make_shared<const std::vector<T>>(std::move(elements));
+    ConstView v(keep->data(), std::move(shape));
+    v.keep_ = std::move(keep);
+    return v;
+  }
+
+  const Shape& shape() const { return shape_; }
+  size_t rank() const { return shape_.size(); }
+  size_t size() const { return shape_elements(shape_); }
+  size_t dim(size_t axis) const { return shape_.at(axis); }
+  std::span<const T> data() const { return {data_, size()}; }
+  /// True when this view holds its own copy of the elements.
+  bool owns() const { return keep_ != nullptr; }
+
+  const T& operator[](size_t i) const { return data_[i]; }
+  const T& operator()(size_t i, size_t j, size_t k) const {
+    assert(rank() == 3);
+    return data_[(i * shape_[1] + j) * shape_[2] + k];
+  }
+
+ private:
+  const T* data_ = nullptr;
+  Shape shape_;
+  std::shared_ptr<const void> keep_;
+};
 
 template <typename T>
 class Tensor {

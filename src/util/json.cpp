@@ -276,7 +276,11 @@ bool Json::as_bool(bool fallback) const {
 
 int64_t Json::as_int(int64_t fallback) const {
   if (auto* i = std::get_if<int64_t>(&value_)) return *i;
-  if (auto* d = std::get_if<double>(&value_)) return static_cast<int64_t>(*d);
+  if (auto* d = std::get_if<double>(&value_)) {
+    // Only doubles inside int64's range convert (the cast is UB otherwise);
+    // NaN fails both comparisons.
+    if (*d >= -0x1p63 && *d < 0x1p63) return static_cast<int64_t>(*d);
+  }
   return fallback;
 }
 

@@ -78,6 +78,7 @@ class Json {
 
   /// Typed accessors; defaults returned on type mismatch keep call sites terse.
   bool as_bool(bool fallback = false) const;
+  /// as_int also returns the fallback for a double outside int64's range.
   int64_t as_int(int64_t fallback = 0) const;
   double as_double(double fallback = 0.0) const;
   const std::string& as_string() const;  ///< empty string on mismatch

@@ -9,7 +9,7 @@
 
 namespace pico::video {
 
-tensor::Tensor<uint8_t> convert_naive(const tensor::Tensor<double>& stack) {
+tensor::Tensor<uint8_t> convert_naive(const tensor::ConstView<double>& stack) {
   assert(stack.rank() == 3);
   const size_t frames = stack.dim(0);
   const size_t frame_px = stack.dim(1) * stack.dim(2);
@@ -42,7 +42,7 @@ tensor::Tensor<uint8_t> convert_naive(const tensor::Tensor<double>& stack) {
   return out;
 }
 
-void convert_fast_into(const tensor::Tensor<double>& stack,
+void convert_fast_into(const tensor::ConstView<double>& stack,
                        tensor::Tensor<uint8_t>& out) {
   assert(stack.rank() == 3);
   assert(out.shape() == stack.shape());
@@ -55,7 +55,7 @@ void convert_fast_into(const tensor::Tensor<double>& stack,
   tensor::simd::scale_to_u8(src.data(), dst.data(), src.size(), mm.min, scale);
 }
 
-void convert_parallel_into(const tensor::Tensor<double>& stack,
+void convert_parallel_into(const tensor::ConstView<double>& stack,
                            tensor::Tensor<uint8_t>& out,
                            util::ThreadPool& pool) {
   assert(stack.rank() == 3);
@@ -75,13 +75,13 @@ void convert_parallel_into(const tensor::Tensor<double>& stack,
   });
 }
 
-tensor::Tensor<uint8_t> convert_fast(const tensor::Tensor<double>& stack) {
+tensor::Tensor<uint8_t> convert_fast(const tensor::ConstView<double>& stack) {
   tensor::Tensor<uint8_t> out(stack.shape());
   convert_fast_into(stack, out);
   return out;
 }
 
-tensor::Tensor<uint8_t> convert_parallel(const tensor::Tensor<double>& stack,
+tensor::Tensor<uint8_t> convert_parallel(const tensor::ConstView<double>& stack,
                                          util::ThreadPool& pool) {
   tensor::Tensor<uint8_t> out(stack.shape());
   convert_parallel_into(stack, out, pool);

@@ -27,7 +27,8 @@ struct FrameView {
     return FrameView{image.data().data(), image.dim(0), image.dim(1)};
   }
   /// Frame t of a rank-3 [T, H, W] stack.
-  static FrameView of_stack(const tensor::Tensor<double>& stack, size_t t) {
+  static FrameView of_stack(const tensor::ConstView<double>& stack,
+                            size_t t) {
     const size_t h = stack.dim(1), w = stack.dim(2);
     return FrameView{stack.data().data() + t * h * w, h, w};
   }

@@ -1,5 +1,6 @@
-// Allocation gate for the flow control plane. A counting global operator new
-// tallies the heap allocations made on this thread while a bucket is open;
+// Allocation gates for the flow control plane and the real-payload compute
+// body. A counting global operator new tallies the heap allocations (and,
+// where asked, their bytes) made on this thread while a bucket is open;
 // provider calls switch to a bucket of their own, so the flow service and
 // the engine are measured apart from the actions they drive. The counts are
 // a pure function of the code path and the inputs: no timing, no host
@@ -14,15 +15,20 @@
 #include <vector>
 
 #include "auth/auth.hpp"
+#include "emd/file.hpp"
+#include "emd_layout.hpp"
 #include "flow/service.hpp"
+#include "hyper_body.hpp"
 #include "sim/engine.hpp"
 
 namespace {
 thread_local uint64_t* t_bucket = nullptr;
+thread_local uint64_t* t_bytes = nullptr;
 }  // namespace
 
 void* operator new(std::size_t n) {
   if (t_bucket) ++*t_bucket;
+  if (t_bytes) *t_bytes += n;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -38,16 +44,25 @@ namespace {
 
 using util::Json;
 
-/// Counts into `bucket` for the scope's lifetime (nesting restores).
+/// Counts allocations into `bucket`, and their bytes into `bytes` when
+/// given, for the scope's lifetime (nesting restores).
 class Counting {
  public:
-  explicit Counting(uint64_t* bucket) : prev_(t_bucket) { t_bucket = bucket; }
-  ~Counting() { t_bucket = prev_; }
+  explicit Counting(uint64_t* bucket, uint64_t* bytes = nullptr)
+      : prev_(t_bucket), prev_bytes_(t_bytes) {
+    t_bucket = bucket;
+    t_bytes = bytes;
+  }
+  ~Counting() {
+    t_bucket = prev_;
+    t_bytes = prev_bytes_;
+  }
   Counting(const Counting&) = delete;
   Counting& operator=(const Counting&) = delete;
 
  private:
   uint64_t* prev_;
+  uint64_t* prev_bytes_;
 };
 
 /// O(1) null provider: each action succeeds after its scripted virtual
@@ -218,6 +233,58 @@ TEST(FlowAllocations, ActivePollAllocatesNothing) {
     EXPECT_EQ(allocs, 0u) << engine.backend_name() << ": " << polls
                           << " Active polls";
     EXPECT_EQ(provider.allocs, 0u);
+  }
+}
+
+// ---- real payloads: the compute body reads the landed bytes in place ----
+
+TEST(PayloadAllocations, HyperspectralBodyDoesNotCopyThePayload) {
+  const auto& payload = test::hyper_payload();
+  ASSERT_GT(payload->size(), 7u << 20);  // a 62x62x256 f64 cube
+  auto facility = test::facility_with_landed(
+      "alloc-test-artifacts", "eagle/hyper.emd", payload);
+  uint64_t allocs = 0, bytes = 0;
+  auto out = [&] {
+    Counting counting(&allocs, &bytes);
+    return test::run_hyper_body(*facility, "eagle/hyper.emd", "alloc");
+  }();
+  ASSERT_TRUE(out) << out.error().message;
+  // Everything the body makes on its thread: the parsed header, the 64x64
+  // intensity and element maps, the 256-channel spectrum, artifacts and the
+  // record (plus the engine and compute service around it). A copy of the
+  // 8 MB cube, as Dataset::as<double>() makes, alone exceeds the bound.
+  EXPECT_LT(bytes, uint64_t{1} << 20)
+      << allocs << " allocations on the body's thread";
+}
+
+TEST(PayloadAllocations, MisalignedViewCopiesThePayloadOnce) {
+  emd::File f;
+  tensor::Tensor<double> cube(tensor::Shape{16, 16, 32});
+  for (size_t i = 0; i < cube.size(); ++i) cube[i] = static_cast<double>(i);
+  f.root.ensure_group("data/cube").datasets.emplace(
+      "data", emd::Dataset::from_tensor(cube));
+  const size_t nbytes = cube.size() * sizeof(double);
+  for (size_t shift : {0u, 4u}) {
+    SCOPED_TRACE(shift);
+    auto file = emd::File::from_shared(
+        std::make_shared<const std::vector<uint8_t>>(
+            test::with_header_padding(f.to_bytes(), shift)));
+    ASSERT_TRUE(file);
+    const emd::Dataset* ds = file.value().root.find_dataset("data/cube/data");
+    uint64_t allocs = 0, bytes = 0;
+    {
+      Counting counting(&allocs, &bytes);
+      auto view = ds->view<double>();
+      ASSERT_TRUE(view);
+      EXPECT_EQ(view.value().owns(), shift != 0);
+      tensor::ConstView<double> copy = view.value();  // shares, never copies
+      EXPECT_EQ(copy.data().data(), view.value().data().data());
+    }
+    // The shape vectors and, off alignment, one payload copy plus its
+    // shared owner: at most one payload's bytes, never two.
+    const uint64_t payload_copies = shift != 0 ? nbytes : 0;
+    EXPECT_GE(bytes, payload_copies);
+    EXPECT_LT(bytes, payload_copies + 512) << allocs << " allocations";
   }
 }
 

@@ -2,7 +2,10 @@
 // synthetic cubes with known composition, metadata extraction, plot writers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "analysis/hyperspectral.hpp"
 #include "analysis/metadata.hpp"
@@ -10,6 +13,8 @@
 #include "instrument/hyperspectral_gen.hpp"
 #include "tensor/ops.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace pico::analysis {
 namespace {
@@ -109,8 +114,8 @@ TEST(Hyperspectral, EndToEndIdentifiesGeneratedComposition) {
 }
 
 TEST(Hyperspectral, SharedPoolMatchesSequential) {
-  // The facility always runs the analysis kernels on the shared pool; the
-  // pooled reductions must publish the same summary as the sequential path.
+  // Callers may still hand the analysis the shared pool (picobench does);
+  // with or without it, it must publish the same summary.
   instrument::HyperspectralConfig cfg;
   cfg.height = 24;
   cfg.width = 24;
@@ -126,6 +131,59 @@ TEST(Hyperspectral, SharedPoolMatchesSequential) {
   EXPECT_EQ(pooled.to_json().dump(2), sequential.to_json().dump(2));
   EXPECT_EQ(pooled.intensity.storage(), sequential.intensity.storage());
   EXPECT_EQ(pooled.spectrum.storage(), sequential.spectrum.storage());
+}
+
+/// Raw bit patterns, so ±0 and NaN payloads compare exactly.
+std::vector<uint64_t> bits(const tensor::Tensor<double>& t) {
+  std::vector<uint64_t> out(t.size());
+  std::memcpy(out.data(), t.data().data(), t.size() * sizeof(double));
+  return out;
+}
+
+TEST(FusedPass, BitIdenticalToTheTwoReductions) {
+  // E not a multiple of 8 (the SIMD tail), a single pixel, a single
+  // channel, and cubes salted with -0.0, +0.0 and NaN.
+  struct Case {
+    size_t h, w, e;
+    bool specials;
+  };
+  const Case cases[] = {{1, 1, 1, false},  {1, 1, 13, false},
+                        {1, 1, 256, true}, {3, 5, 7, false},
+                        {8, 8, 256, false}, {7, 9, 61, true},
+                        {16, 4, 1027, true}, {2, 3, 8, true}};
+  util::Rng rng(0xF05ED);
+  util::ThreadPool pool(3);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.h) + "x" + std::to_string(c.w) + "x" +
+                 std::to_string(c.e));
+    tensor::Tensor<double> cube(tensor::Shape{c.h, c.w, c.e});
+    for (size_t i = 0; i < cube.size(); ++i) {
+      cube[i] = rng.uniform(-1e3, 1e3) * std::pow(10.0, rng.uniform(-8, 8));
+    }
+    if (c.specials) {
+      for (size_t i = 0; i < cube.size(); i += 5) cube[i] = -0.0;
+      for (size_t i = 2; i < cube.size(); i += 11) cube[i] = 0.0;
+      cube[cube.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+    }
+    IntensityAndSpectrum fused = intensity_and_spectrum(cube);
+    EXPECT_EQ(fused.intensity.shape(), (tensor::Shape{c.h, c.w}));
+    EXPECT_EQ(fused.spectrum.shape(), (tensor::Shape{c.e}));
+    EXPECT_EQ(bits(fused.intensity), bits(tensor::sum_axis3(cube, 2)));
+    EXPECT_EQ(bits(fused.spectrum), bits(tensor::sum_keep_axis3(cube, 2)));
+    EXPECT_EQ(bits(fused.intensity), bits(tensor::sum_axis3(cube, 2, pool)));
+    EXPECT_EQ(bits(fused.spectrum),
+              bits(tensor::sum_keep_axis3(cube, 2, pool)));
+  }
+}
+
+TEST(FusedPass, AllNegativeZeroCubeKeepsItsSigns) {
+  // simd::sum_f64 starts its lanes at +0.0, so a row of -0.0 sums to +0.0,
+  // and add_f64 accumulates into a +0.0-initialised spectrum: the fused
+  // pass must give the same signs as the reductions it replaces.
+  tensor::Tensor<double> cube = tensor::Tensor<double>::full({2, 2, 9}, -0.0);
+  IntensityAndSpectrum fused = intensity_and_spectrum(cube);
+  EXPECT_EQ(bits(fused.intensity), bits(tensor::sum_axis3(cube, 2)));
+  EXPECT_EQ(bits(fused.spectrum), bits(tensor::sum_keep_axis3(cube, 2)));
 }
 
 TEST(Metadata, ExtractsStandardBlocks) {

@@ -9,6 +9,7 @@
 #include "core/facility.hpp"
 #include "core/flows.hpp"
 #include "core/report.hpp"
+#include "hyper_body.hpp"
 #include "instrument/hyperspectral_gen.hpp"
 #include "instrument/spatiotemporal_gen.hpp"
 #include "util/bytes.hpp"
@@ -360,6 +361,34 @@ TEST(Paper, Table1AndFig4AreByteIdentical) {
       << render_fig4(spatio);
   EXPECT_EQ(util::crc64(flows_csv(hyper)), 0xb0232ea5387e6e27ull);
   EXPECT_EQ(util::crc64(flows_csv(spatio)), 0x25eab6d0393a3cccull);
+}
+
+// The hyperspectral compute body on the campaign's real 8 MB payload: a
+// CRC-64 over its search record (JSON text) and every artifact's path and
+// bytes, in record order. Pinned before the body read the payload through a
+// typed view in one fused pass; any change to the analysis outputs, the
+// artifacts or the record moves it.
+TEST(HyperBodyPin, RecordAndArtifactsOfTheCampaignPayload) {
+  auto facility = test::facility_with_landed(
+      "core-test-hyper-pin", "eagle/hyper-pin.emd", test::hyper_payload());
+  auto out = test::run_hyper_body(*facility, "eagle/hyper-pin.emd", "pin");
+  ASSERT_TRUE(out) << out.error().message;
+  std::vector<uint8_t> digest_input;
+  auto append = [&digest_input](const std::string& text) {
+    digest_input.insert(digest_input.end(), text.begin(), text.end());
+  };
+  append(out.value().at("record").dump());
+  const auto& artifacts = out.value().at("artifacts").as_array();
+  ASSERT_GE(artifacts.size(), 3u);  // intensity, Au map, spectrum
+  for (const auto& a : artifacts) {
+    auto bytes = util::read_file(a.as_string());
+    ASSERT_TRUE(bytes) << a.as_string();
+    append(a.as_string());
+    digest_input.insert(digest_input.end(), bytes.value().begin(),
+                        bytes.value().end());
+  }
+  EXPECT_EQ(util::crc64(digest_input), 0xfc020338fae747b7ull)
+      << out.value().at("record").dump(2);
 }
 
 }  // namespace

@@ -4,13 +4,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "emd/file.hpp"
 #include "emd/schema.hpp"
+#include "emd_layout.hpp"
 #include "storage/store.hpp"
 #include "tensor/tensor.hpp"
 #include "util/bytes.hpp"
+#include "util/crc64.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace pico::emd {
 namespace {
@@ -457,6 +462,251 @@ TEST(EmdMapped, DetectsCorruptionThroughTheView) {
 
 TEST(EmdMapped, MissingFileIsError) {
   EXPECT_FALSE(File::load_mapped(testing::TempDir() + "/pico_no_such.emd"));
+}
+
+// ------------------------------------------ payload layout and typed views ----
+
+using util::Json;
+
+/// Bytes of a file laid out by hand: `datasets` is the root's dataset table
+/// (offsets relative to `blob`), the header is not padded.
+std::vector<uint8_t> hand_built(const Json& datasets,
+                                const std::vector<uint8_t>& blob) {
+  const std::string text =
+      Json::object({{"attrs", Json::object()},
+                    {"datasets", datasets},
+                    {"groups", Json::object()}})
+          .dump();
+  std::vector<uint8_t> out;
+  util::ByteWriter w(&out);
+  w.bytes(File::kMagic, 4);
+  w.u32(File::kVersion);
+  w.u64(text.size());
+  w.bytes(text.data(), text.size());
+  w.bytes(blob.data(), blob.size());
+  return out;
+}
+
+Json dataset_entry(const char* dtype, Json shape, int64_t offset,
+                   int64_t nbytes, uint64_t crc) {
+  return Json::object({{"dtype", dtype},
+                       {"shape", std::move(shape)},
+                       {"offset", offset},
+                       {"nbytes", nbytes},
+                       {"crc64", util::to_hex_u64(crc)}});
+}
+
+void collect_offsets(const Json& group, std::vector<int64_t>* out) {
+  for (const auto& [name, meta] : group.at("datasets").as_object()) {
+    out->push_back(meta.at("offset").as_int());
+  }
+  for (const auto& [name, child] : group.at("groups").as_object()) {
+    collect_offsets(child, out);
+  }
+}
+
+TEST(EmdLayout, WriterAlignsTheBlobAndEveryPayloadTo64) {
+  File f = sample_file();
+  // Odd sizes, so unpadded offsets would land anywhere.
+  tensor::Tensor<uint8_t> odd(tensor::Shape{3});
+  f.root.ensure_group("aux").datasets.emplace("odd", Dataset::from_tensor(odd));
+  tensor::Tensor<double> after(tensor::Shape{5});
+  f.root.ensure_group("aux").datasets.emplace("zz",
+                                              Dataset::from_tensor(after));
+  const auto bytes =
+      std::make_shared<const std::vector<uint8_t>>(f.to_bytes());
+
+  EXPECT_EQ((test::kEmdPreamble + test::emd_header_len(*bytes)) % 64, 0u);
+  std::vector<int64_t> offsets;
+  collect_offsets(test::emd_header(*bytes), &offsets);
+  ASSERT_EQ(offsets.size(), 4u);
+  for (int64_t off : offsets) EXPECT_EQ(off % 64, 0) << off;
+
+  auto re = File::from_shared(bytes);
+  ASSERT_TRUE(re);
+  for (const char* name : {"data/signal0/data", "calibration/gains",
+                           "aux/odd", "aux/zz"}) {
+    const Dataset* ds = re.value().root.find_dataset(name);
+    ASSERT_NE(ds, nullptr) << name;
+    EXPECT_EQ((ds->raw().data() - bytes->data()) % 64, 0) << name;
+  }
+  // Re-serializing a parsed file reproduces the same aligned bytes.
+  EXPECT_EQ(re.value().to_bytes(), *bytes);
+}
+
+TEST(EmdLayout, UnpaddedOldLayoutStillParses) {
+  // The layout written before payloads were aligned: header unpadded,
+  // payloads packed back to back from blob offset 0.
+  std::vector<double> cube(24);
+  for (size_t i = 0; i < cube.size(); ++i) {
+    cube[i] = static_cast<double>(i) * 0.5;
+  }
+  const uint16_t gains[5] = {0, 100, 200, 300, 400};
+  std::vector<uint8_t> blob(cube.size() * 8 + sizeof(gains));
+  std::memcpy(blob.data(), cube.data(), cube.size() * 8);
+  std::memcpy(blob.data() + cube.size() * 8, gains, sizeof(gains));
+  Json datasets = Json::object(
+      {{"cube", dataset_entry("f64", Json::array({2, 3, 4}), 0, 192,
+                              util::crc64(blob.data(), 192))},
+       {"gains", dataset_entry("u16", Json::array({5}), 192, 10,
+                               util::crc64(blob.data() + 192, 10))}});
+  const auto bytes = std::make_shared<const std::vector<uint8_t>>(
+      hand_built(datasets, blob));
+
+  for (bool shared : {false, true}) {
+    auto re = shared ? File::from_shared(bytes) : File::from_bytes(*bytes);
+    ASSERT_TRUE(re) << re.error().message;
+    auto view = re.value().root.find_dataset("cube")->view<double>();
+    ASSERT_TRUE(view);
+    EXPECT_EQ(view.value().shape(), (tensor::Shape{2, 3, 4}));
+    EXPECT_DOUBLE_EQ(view.value()(1, 2, 3), 23 * 0.5);
+    auto g = re.value().root.find_dataset("gains")->view<uint16_t>();
+    ASSERT_TRUE(g);
+    EXPECT_EQ(g.value()[4], 400);
+  }
+}
+
+TEST(EmdView, AlignedPayloadIsReadInPlace) {
+  const auto bytes =
+      std::make_shared<const std::vector<uint8_t>>(sample_file().to_bytes());
+  auto re = File::from_shared(bytes);
+  ASSERT_TRUE(re);
+  const Dataset* ds = re.value().root.find_dataset("data/signal0/data");
+  auto view = ds->view<double>();
+  ASSERT_TRUE(view);
+  EXPECT_FALSE(view.value().owns());
+  EXPECT_EQ(static_cast<const void*>(view.value().data().data()),
+            static_cast<const void*>(ds->raw().data()));
+  EXPECT_EQ(view.value().shape(), (tensor::Shape{2, 3, 4}));
+  EXPECT_DOUBLE_EQ(view.value()(1, 2, 3), 23 * 0.5);
+}
+
+TEST(EmdView, MisalignedPayloadIsCopiedOnceAndShared) {
+  // Four spaces more header put the f64 payload 4 bytes off alignment.
+  const auto bytes = std::make_shared<const std::vector<uint8_t>>(
+      test::with_header_padding(sample_file().to_bytes(), 4));
+  auto re = File::from_shared(bytes);
+  ASSERT_TRUE(re);
+  const Dataset* ds = re.value().root.find_dataset("data/signal0/data");
+  ASSERT_NE(reinterpret_cast<uintptr_t>(ds->raw().data()) % alignof(double),
+            0u);
+  auto view = ds->view<double>();
+  ASSERT_TRUE(view);
+  EXPECT_TRUE(view.value().owns());
+  EXPECT_NE(static_cast<const void*>(view.value().data().data()),
+            static_cast<const void*>(ds->raw().data()));
+  for (size_t i = 0; i < 24; ++i) {
+    EXPECT_DOUBLE_EQ(view.value()[i], static_cast<double>(i) * 0.5);
+  }
+  // Copies of the view share its one copy, which outlives the original.
+  tensor::ConstView<double> copy = view.value();
+  EXPECT_EQ(copy.data().data(), view.value().data().data());
+  view = decltype(view)::err("dropped");
+  EXPECT_DOUBLE_EQ(copy(1, 2, 3), 23 * 0.5);
+  // A u16 view needs only 2-byte alignment: still in place.
+  auto gains =
+      re.value().root.find_dataset("calibration/gains")->view<uint16_t>();
+  ASSERT_TRUE(gains);
+  EXPECT_FALSE(gains.value().owns());
+}
+
+TEST(EmdView, DtypeMismatchAndMissingPayloadAreErrors) {
+  File f = sample_file();
+  const Dataset* ds = f.root.find_dataset("data/signal0/data");
+  auto wrong = ds->view<float>();
+  ASSERT_FALSE(wrong);
+  EXPECT_EQ(wrong.error().code, "type");
+
+  auto header_only = File::from_bytes(f.to_bytes(), /*with_payload=*/false);
+  ASSERT_TRUE(header_only);
+  const Dataset* absent_ds =
+      header_only.value().root.find_dataset("data/signal0/data");
+  auto absent = absent_ds->view<double>();
+  ASSERT_FALSE(absent);
+  EXPECT_EQ(absent.error().code, "state");
+}
+
+TEST(EmdView, TensorConvertsToAView) {
+  tensor::Tensor<double> t(tensor::Shape{2, 2, 3});
+  for (size_t i = 0; i < t.size(); ++i) t[i] = static_cast<double>(i);
+  const tensor::ConstView<double> v = t;
+  EXPECT_FALSE(v.owns());
+  EXPECT_EQ(v.data().data(), t.data().data());
+  EXPECT_EQ(v.size(), 12u);
+  EXPECT_EQ(v.dim(2), 3u);
+  EXPECT_EQ(v(1, 1, 2), t(1, 1, 2));
+}
+
+// ---- crafted headers: every range check holds without wrapping ----
+
+TEST(EmdCrafted, NegativeOffsetIsRejected) {
+  // 64x64 f64 with offset -20000: as an unsigned sum, offset + nbytes
+  // wraps to 12768 and passes a `> blob_size` check.
+  std::vector<uint8_t> blob(64 * 64 * 8, 0);
+  const uint64_t crc = util::crc64(blob);
+  for (int64_t offset : {int64_t{-20000}, int64_t{-1}}) {
+    auto bytes = hand_built(
+        Json::object({{"data", dataset_entry("f64", Json::array({64, 64}),
+                                             offset, 32768, crc)}}),
+        blob);
+    auto re = File::from_bytes(bytes);
+    ASSERT_FALSE(re) << offset;
+    EXPECT_EQ(re.error().code, "parse");
+  }
+}
+
+TEST(EmdCrafted, OffsetPastTheBlobIsRejected) {
+  std::vector<uint8_t> blob(128, 0);
+  const uint64_t crc = util::crc64(blob.data(), 64);
+  for (int64_t offset : {int64_t{65}, int64_t{129},
+                         std::numeric_limits<int64_t>::max() - 8}) {
+    auto bytes = hand_built(
+        Json::object({{"data", dataset_entry("f64", Json::array({8}), offset,
+                                             64, crc)}}),
+        blob);
+    auto re = File::from_bytes(bytes);
+    ASSERT_FALSE(re) << offset;
+    EXPECT_EQ(re.error().code, "parse");
+  }
+}
+
+TEST(EmdCrafted, OverflowingShapeIsRejected) {
+  // 2^61 + 1 rows of 16: the element count wraps to 16, so 128 bytes would
+  // match nbytes and a view would index far past the payload.
+  std::vector<uint8_t> blob(128, 0);
+  auto bytes = hand_built(
+      Json::object(
+          {{"data",
+            dataset_entry("f64",
+                          Json::array({int64_t{2305843009213693953}, 16}), 0,
+                          128, util::crc64(blob))}}),
+      blob);
+  for (bool with_payload : {true, false}) {
+    auto re = File::from_bytes(bytes, with_payload);
+    ASSERT_FALSE(re) << with_payload;
+    EXPECT_EQ(re.error().code, "parse");
+  }
+  // An out-of-range double is not an offset either.
+  Json entry = dataset_entry("f64", Json::array({16}), 0, 128,
+                             util::crc64(blob));
+  entry["offset"] = 1e300;
+  EXPECT_FALSE(File::from_bytes(hand_built(Json::object({{"data", entry}}),
+                                           blob)));
+}
+
+TEST(EmdCrafted, HmsaOffsetThatWrapsIsRejected) {
+  auto pair = to_hmsa(hmsa_sample());
+  ASSERT_TRUE(pair);
+  // The first array sits at offset 0; 2^64 - 8 plus its byte count wraps
+  // to a small number inside the binary.
+  const std::string from = "Offset=\"0\"";
+  const size_t at = pair.value().xml.find(from);
+  ASSERT_NE(at, std::string::npos);
+  pair.value().xml.replace(at, from.size(),
+                           "Offset=\"18446744073709551608\"");
+  auto back = from_hmsa(pair.value());
+  ASSERT_FALSE(back);
+  EXPECT_EQ(back.error().code, "corrupt");
 }
 
 }  // namespace
