@@ -1,8 +1,10 @@
 #include "util/json.hpp"
 
+#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 namespace pico::util {
 namespace {
@@ -24,9 +26,15 @@ const JsonObject& empty_object() {
   return kEmpty;
 }
 
-void escape_string(std::string& out, const std::string& s) {
+void escape_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
-  for (unsigned char c : s) {
+  size_t run = 0;  // start of the bytes not yet copied
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -36,39 +44,44 @@ void escape_string(std::string& out, const std::string& s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
+        out += "\\u00";
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xF]);
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
 }
 
-// Recursive-descent parser over a string_view with position tracking.
+// Recursive-descent parser over a string_view with position tracking. The
+// elements of the arrays and objects still open are collected on two
+// stacks shared by every nesting level; a closed container moves its own off
+// into one exactly sized allocation.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<Json> parse_document() {
+    Json out;
     skip_ws();
-    auto v = parse_value();
-    if (!v) return v;
+    if (!parse_value(out)) return Result<Json>::err(std::move(error_), "parse");
     skip_ws();
     if (pos_ != text_.size()) {
       return Result<Json>::err(
           "trailing characters at offset " + std::to_string(pos_), "parse");
     }
-    return v;
+    return Result<Json>::ok(std::move(out));
   }
 
  private:
-  Result<Json> fail(const std::string& what) {
-    return Result<Json>::err(what + " at offset " + std::to_string(pos_),
-                             "parse");
+  bool fail(const std::string& what) {
+    error_ = what + " at offset " + std::to_string(pos_);
+    return false;
+  }
+  /// String errors name no offset.
+  bool fail_unplaced(const char* what) {
+    error_ = what;
+    return false;
   }
 
   void skip_ws() {
@@ -101,95 +114,96 @@ class Parser {
     return false;
   }
 
-  Result<Json> parse_value() {
+  bool parse_value(Json& out) {
     if (eof()) return fail("unexpected end of input");
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == Json::kMaxParseDepth) {
+          return fail("nesting deeper than " +
+                      std::to_string(Json::kMaxParseDepth));
+        }
+        ++depth_;
+        const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
-        auto s = parse_string();
-        if (!s) return Result<Json>::err(s.error());
-        return Result<Json>::ok(Json(std::move(s).value()));
+        std::string s;
+        if (!parse_string(s)) return false;
+        out = Json(std::move(s));
+        return true;
       }
-      case 't':
-        if (consume_literal("true")) return Result<Json>::ok(Json(true));
-        return fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Result<Json>::ok(Json(false));
-        return fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Result<Json>::ok(Json(nullptr));
-        return fail("invalid literal");
+      case 't': return parse_literal("true", Json(true), out);
+      case 'f': return parse_literal("false", Json(false), out);
+      case 'n': return parse_literal("null", Json(nullptr), out);
       default:
-        return parse_number();
+        return parse_number(out);
     }
   }
 
-  Result<std::string> parse_string() {
-    if (!consume('"')) {
-      return Result<std::string>::err(
-          "expected string at offset " + std::to_string(pos_), "parse");
-    }
-    std::string out;
+  bool parse_literal(std::string_view lit, Json value, Json& out) {
+    if (!consume_literal(lit)) return fail("invalid literal");
+    out = std::move(value);
+    return true;
+  }
+
+  bool parse_string(std::string& out) {
+    if (!consume('"')) return fail("expected string");
     while (true) {
-      if (eof()) {
-        return Result<std::string>::err("unterminated string", "parse");
+      // Copy the plain run up to the next quote or escape in one append.
+      size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\') {
+        ++stop;
       }
-      char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        if (eof()) {
-          return Result<std::string>::err("unterminated escape", "parse");
-        }
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Result<std::string>::err("bad \\u escape", "parse");
-            }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return Result<std::string>::err("bad \\u escape", "parse");
-            }
-            // UTF-8 encode the BMP code point (surrogate pairs are passed
-            // through as two 3-byte sequences, adequate for metadata text).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
+      out.append(text_.data() + pos_, stop - pos_);
+      pos_ = stop;
+      if (eof()) return fail_unplaced("unterminated string");
+      if (text_[pos_++] == '"') return true;
+      if (eof()) return fail_unplaced("unterminated escape");
+      char e = text_[pos_++];
+      switch (e) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) return fail_unplaced("bad \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else return fail_unplaced("bad \\u escape");
           }
-          default:
-            return Result<std::string>::err("bad escape character", "parse");
+          // UTF-8 encode the BMP code point (surrogate pairs are passed
+          // through as two 3-byte sequences, adequate for metadata text).
+          if (code < 0x80) {
+            out.push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
+          break;
         }
-      } else {
-        out.push_back(c);
+        default:
+          return fail_unplaced("bad escape character");
       }
     }
-    return Result<std::string>::ok(std::move(out));
   }
 
-  Result<Json> parse_number() {
+  bool parse_number(Json& out) {
     size_t start = pos_;
     if (!eof() && peek() == '-') ++pos_;
     bool is_double = false;
@@ -211,7 +225,8 @@ class Parser {
       char* end = nullptr;
       long long v = std::strtoll(tok.c_str(), &end, 10);
       if (errno == 0 && end == tok.c_str() + tok.size()) {
-        return Result<Json>::ok(Json(static_cast<int64_t>(v)));
+        out = Json(static_cast<int64_t>(v));
+        return true;
       }
       // fall through to double on overflow
     }
@@ -221,53 +236,116 @@ class Parser {
       pos_ = start;
       return fail("malformed number");
     }
-    return Result<Json>::ok(Json(d));
+    out = Json(d);
+    return true;
   }
 
-  Result<Json> parse_array() {
+  bool parse_array(Json& out) {
     consume('[');
-    JsonArray out;
+    const size_t base = items_.size();
     skip_ws();
-    if (consume(']')) return Result<Json>::ok(Json(std::move(out)));
-    while (true) {
-      skip_ws();
-      auto v = parse_value();
-      if (!v) return v;
-      out.push_back(std::move(v).value());
-      skip_ws();
-      if (consume(']')) break;
-      if (!consume(',')) return fail("expected ',' or ']'");
+    if (!consume(']')) {
+      while (true) {
+        skip_ws();
+        Json v;
+        if (!parse_value(v)) return false;
+        items_.push_back(std::move(v));
+        skip_ws();
+        if (consume(']')) break;
+        if (!consume(',')) return fail("expected ',' or ']'");
+      }
     }
-    return Result<Json>::ok(Json(std::move(out)));
+    const auto first = items_.begin() + static_cast<std::ptrdiff_t>(base);
+    out = Json(JsonArray(std::make_move_iterator(first),
+                         std::make_move_iterator(items_.end())));
+    items_.erase(first, items_.end());
+    return true;
   }
 
-  Result<Json> parse_object() {
+  bool parse_object(Json& out) {
     consume('{');
-    JsonObject out;
+    const size_t base = members_.size();
     skip_ws();
-    if (consume('}')) return Result<Json>::ok(Json(std::move(out)));
-    while (true) {
-      skip_ws();
-      auto key = parse_string();
-      if (!key) return Result<Json>::err(key.error());
-      skip_ws();
-      if (!consume(':')) return fail("expected ':'");
-      skip_ws();
-      auto v = parse_value();
-      if (!v) return v;
-      out[std::move(key).value()] = std::move(v).value();
-      skip_ws();
-      if (consume('}')) break;
-      if (!consume(',')) return fail("expected ',' or '}'");
+    if (!consume('}')) {
+      while (true) {
+        skip_ws();
+        std::string key;
+        if (!parse_string(key)) return false;
+        skip_ws();
+        if (!consume(':')) return fail("expected ':'");
+        skip_ws();
+        Json v;
+        if (!parse_value(v)) return false;
+        members_.emplace_back(std::move(key), std::move(v));
+        skip_ws();
+        if (consume('}')) break;
+        if (!consume(',')) return fail("expected ',' or '}'");
+      }
     }
-    return Result<Json>::ok(Json(std::move(out)));
+    const auto first = members_.begin() + static_cast<std::ptrdiff_t>(base);
+    out = Json(JsonObject::from_unsorted(std::vector<JsonObject::value_type>(
+        std::make_move_iterator(first), std::make_move_iterator(members_.end()))));
+    members_.erase(first, members_.end());
+    return true;
   }
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open around pos_
+  std::string error_;
+  std::vector<Json> items_;
+  std::vector<JsonObject::value_type> members_;
 };
 
 }  // namespace
+
+JsonObject::JsonObject(
+    std::initializer_list<std::pair<const std::string, Json>> init) {
+  members_.reserve(init.size());
+  for (const auto& [key, value] : init) {
+    const size_t i = lower_bound(key);
+    if (i < members_.size() && members_[i].first == key) continue;
+    members_.emplace(members_.begin() + static_cast<std::ptrdiff_t>(i), key,
+                     value);
+  }
+}
+
+JsonObject JsonObject::from_unsorted(std::vector<value_type> members) {
+  auto not_less = [](const value_type& a, const value_type& b) {
+    return !(a.first < b.first);
+  };
+  if (std::adjacent_find(members.begin(), members.end(), not_less) !=
+      members.end()) {
+    std::stable_sort(members.begin(), members.end(),
+                     [](const value_type& a, const value_type& b) {
+                       return a.first < b.first;
+                     });
+    // Stable, so the last of each run of equal keys is the last written.
+    auto out = members.begin();
+    for (auto it = members.begin(); it != members.end();) {
+      auto last = it;
+      while (last + 1 != members.end() && (last + 1)->first == it->first) {
+        ++last;
+      }
+      if (out != last) *out = std::move(*last);
+      ++out;
+      it = last + 1;
+    }
+    members.erase(out, members.end());
+  }
+  JsonObject o;
+  o.members_ = std::move(members);
+  return o;
+}
+
+Json& JsonObject::operator[](std::string_view key) {
+  const size_t i = lower_bound(key);
+  if (i == members_.size() || members_[i].first != key) {
+    members_.emplace(members_.begin() + static_cast<std::ptrdiff_t>(i),
+                     std::string(key), Json());
+  }
+  return members_[i].second;
+}
 
 bool Json::as_bool(bool fallback) const {
   if (auto* b = std::get_if<bool>(&value_)) return *b;
@@ -320,16 +398,15 @@ JsonObject& Json::mutable_object() {
   return std::get<JsonObject>(value_);
 }
 
-const Json& Json::at(const std::string& key) const {
+const Json& Json::at(std::string_view key) const {
   if (auto* o = std::get_if<JsonObject>(&value_)) {
-    auto it = o->find(key);
-    if (it != o->end()) return it->second;
+    if (const Json* v = o->find(key)) return *v;
   }
   return null_json();
 }
 
-bool Json::contains(const std::string& key) const {
-  if (auto* o = std::get_if<JsonObject>(&value_)) return o->count(key) > 0;
+bool Json::contains(std::string_view key) const {
+  if (auto* o = std::get_if<JsonObject>(&value_)) return o->find(key) != nullptr;
   return false;
 }
 
@@ -338,19 +415,16 @@ const Json& Json::at_path(std::string_view dotted_path) const {
   size_t start = 0;
   while (start <= dotted_path.size()) {
     size_t pos = dotted_path.find('.', start);
-    std::string key(dotted_path.substr(
+    cur = &cur->at(dotted_path.substr(
         start, pos == std::string_view::npos ? std::string_view::npos
                                              : pos - start));
-    cur = &cur->at(key);
     if (pos == std::string_view::npos) break;
     start = pos + 1;
   }
   return *cur;
 }
 
-Json& Json::operator[](const std::string& key) {
-  return mutable_object()[key];
-}
+Json& Json::operator[](std::string_view key) { return mutable_object()[key]; }
 
 const Json& Json::operator[](size_t i) const {
   const auto& a = as_array();
@@ -382,15 +456,23 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (type()) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += std::get<bool>(value_) ? "true" : "false"; break;
-    case Type::Int: out += std::to_string(std::get<int64_t>(value_)); break;
+    case Type::Int: {
+      char buf[24];
+      const auto r = std::to_chars(buf, buf + sizeof(buf),
+                                   std::get<int64_t>(value_));
+      out.append(buf, r.ptr);
+      break;
+    }
     case Type::Double: {
       double d = std::get<double>(value_);
       if (std::isnan(d) || std::isinf(d)) {
         out += "null";  // JSON has no NaN/Inf; degrade gracefully
       } else {
+        // general at precision 17 is printf's "%.17g" by definition.
         char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
-        out += buf;
+        const auto r = std::to_chars(buf, buf + sizeof(buf), d,
+                                     std::chars_format::general, 17);
+        out.append(buf, r.ptr);
       }
       break;
     }

@@ -3,12 +3,13 @@
 // Used throughout PicoFlow for experiment metadata (DataCite-style records),
 // flow action parameters, compute function arguments/results, and search
 // documents — the same roles JSON plays in the paper's Globus-based stack.
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -19,9 +20,48 @@ namespace pico::util {
 class Json;
 
 using JsonArray = std::vector<Json>;
-// std::map keeps keys ordered, which makes serialized output deterministic —
-// important for checksum-stable metadata records and golden tests.
-using JsonObject = std::map<std::string, Json>;
+
+/// A JSON object: its members in one vector, kept sorted by key in
+/// std::string order (unsigned bytes), so serialized output is
+/// deterministic — important for checksum-stable metadata records and
+/// golden tests. An object is one allocation and so is a copy; lookups are
+/// binary searches. Inserting a key shifts the members after it, so, as with
+/// std::vector, an insert invalidates every reference, pointer and iterator
+/// into the object (including a Json& from operator[] on a sibling key).
+class JsonObject {
+ public:
+  using value_type = std::pair<std::string, Json>;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  JsonObject() = default;
+  /// Of duplicate keys, the first is kept (std::map's range insert did so).
+  JsonObject(std::initializer_list<std::pair<const std::string, Json>> init);
+  /// Members in any order; of duplicate keys, the last is kept (as repeated
+  /// assignment would). One sort, O(n log n).
+  static JsonObject from_unsorted(std::vector<value_type> members);
+
+  // Iteration is in key order. Mutable iteration may change values, never
+  // keys.
+  iterator begin() { return members_.begin(); }
+  iterator end() { return members_.end(); }
+  const_iterator begin() const { return members_.begin(); }
+  const_iterator end() const { return members_.end(); }
+  size_t size() const { return members_.size(); }
+  bool empty() const { return members_.empty(); }
+
+  /// The value under `key`, or nullptr.
+  const Json* find(std::string_view key) const;
+  /// The value under `key`, inserted as null in key order if absent.
+  Json& operator[](std::string_view key);
+
+  bool operator==(const JsonObject& other) const;
+
+ private:
+  /// Index of the first member whose key is not less than `key`.
+  size_t lower_bound(std::string_view key) const;
+  std::vector<value_type> members_;
+};
 
 /// JSON value: null, bool, number (double or int64), string, array, object.
 /// Integers are preserved exactly (separate i64 alternative) so dataset byte
@@ -47,6 +87,7 @@ class Json {
   Json(JsonObject o) : value_(std::move(o)) {}
 
   /// Build an object from key/value pairs: Json::object({{"a", 1}, ...}).
+  /// Of duplicate keys, the first is kept.
   static Json object(std::initializer_list<std::pair<const std::string, Json>> init = {}) {
     return Json(JsonObject(init));
   }
@@ -91,13 +132,14 @@ class Json {
   JsonObject& mutable_object();  ///< converts to object if not one
 
   /// Object field lookup; returns null Json if absent or not an object.
-  const Json& at(const std::string& key) const;
-  bool contains(const std::string& key) const;
+  const Json& at(std::string_view key) const;
+  bool contains(std::string_view key) const;
   /// Path lookup: at_path("a.b.c") walks nested objects.
   const Json& at_path(std::string_view dotted_path) const;
 
-  /// Object field write access (creates object/keys as needed).
-  Json& operator[](const std::string& key);
+  /// Object field write access (creates object/keys as needed). Inserting a
+  /// key invalidates references into this object; see JsonObject.
+  Json& operator[](std::string_view key);
   /// Array element access (no bounds growth).
   const Json& operator[](size_t i) const;
 
@@ -108,10 +150,15 @@ class Json {
 
   bool operator==(const Json& other) const { return value_ == other.value_; }
 
-  /// Serialize. indent < 0 gives compact single-line output.
+  /// Serialize. indent < 0 gives compact single-line output. Doubles print
+  /// as printf's "%.17g"; NaN and infinities as null.
   std::string dump(int indent = -1) const;
 
-  /// Parse a complete JSON document. Trailing garbage is an error.
+  /// Nesting deeper than this many arrays/objects is a parse error, so
+  /// untrusted input cannot exhaust the parser's stack.
+  static constexpr int kMaxParseDepth = 512;
+  /// Parse a complete JSON document. Trailing garbage is an error. Of
+  /// duplicate object keys, the last is kept.
   static Result<Json> parse(std::string_view text);
 
  private:
@@ -120,5 +167,24 @@ class Json {
                JsonObject>
       value_;
 };
+
+inline size_t JsonObject::lower_bound(std::string_view key) const {
+  return static_cast<size_t>(
+      std::lower_bound(members_.begin(), members_.end(), key,
+                       [](const value_type& m, std::string_view k) {
+                         return std::string_view(m.first) < k;
+                       }) -
+      members_.begin());
+}
+
+inline const Json* JsonObject::find(std::string_view key) const {
+  const size_t i = lower_bound(key);
+  if (i < members_.size() && members_[i].first == key) return &members_[i].second;
+  return nullptr;
+}
+
+inline bool JsonObject::operator==(const JsonObject& other) const {
+  return members_ == other.members_;
+}
 
 }  // namespace pico::util

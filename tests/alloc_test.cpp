@@ -20,6 +20,7 @@
 #include "flow/service.hpp"
 #include "hyper_body.hpp"
 #include "sim/engine.hpp"
+#include "util/json.hpp"
 
 namespace {
 thread_local uint64_t* t_bucket = nullptr;
@@ -286,6 +287,73 @@ TEST(PayloadAllocations, MisalignedViewCopiesThePayloadOnce) {
     EXPECT_GE(bytes, payload_copies);
     EXPECT_LT(bytes, payload_copies + 512) << allocs << " allocations";
   }
+}
+
+// ---- JSON objects: one block per object, none per lookup ----
+
+TEST(JsonAllocations, ObjectOfShortKeysIsOneBlock) {
+  // The widest alternative is the string: an object adds no bytes to a
+  // value (a std::map header made it 56 bytes on LP64).
+  EXPECT_LE(sizeof(Json), sizeof(std::string) + sizeof(void*));
+  // Keys of at most 15 characters live in std::string's inline buffer and
+  // scalar values in the member itself: the member vector is the only
+  // block, whatever the key count or the order the literal lists them in.
+  uint64_t allocs = 0;
+  Json one, six;
+  {
+    Counting counting(&allocs);
+    one = Json::object({{"ok", true}});
+  }
+  EXPECT_EQ(allocs, 1u);
+  allocs = 0;
+  {
+    Counting counting(&allocs);
+    six = Json::object({{"transfer_s", 30.0},
+                        {"analyze_s", 15.0},
+                        {"exactly15chars_", int64_t{-7}},
+                        {"ok", true},
+                        {"none", nullptr},
+                        {"a", 1}});
+  }
+  EXPECT_EQ(allocs, 1u) << "a node per member would be 6";
+  ASSERT_EQ(six.size(), 6u);
+
+  allocs = 0;
+  Json copy;
+  {
+    Counting counting(&allocs);
+    copy = six;
+  }
+  EXPECT_EQ(allocs, 1u) << "copying the object";
+  EXPECT_EQ(copy, six);
+}
+
+TEST(JsonAllocations, LookupsAllocateNothing) {
+  // Keys longer than the inline buffer: a lookup that built a std::string
+  // from its literal would allocate.
+  const Json doc = Json::object(
+      {{"flow_attempt_epoch", 3},
+       {"provenance_record",
+        Json::object({{"instrument_settings", Json::object({{"k", 1}})}})}});
+  uint64_t allocs = 0;
+  int64_t epoch = 0, k = 0;
+  bool absent = false, has = false, has_not = true, missing = false;
+  {
+    Counting counting(&allocs);
+    epoch = doc.at("flow_attempt_epoch").as_int();
+    absent = doc.at("no_such_key_anywhere").is_null();
+    has = doc.contains("provenance_record");
+    has_not = doc.contains("provenance_recorded");
+    k = doc.at_path("provenance_record.instrument_settings.k").as_int();
+    missing = doc.at_path("provenance_record.missing_segment_").is_null();
+  }
+  EXPECT_EQ(epoch, 3);
+  EXPECT_TRUE(absent);
+  EXPECT_TRUE(has);
+  EXPECT_FALSE(has_not);
+  EXPECT_EQ(k, 1);
+  EXPECT_TRUE(missing);
+  EXPECT_EQ(allocs, 0u);
 }
 
 }  // namespace

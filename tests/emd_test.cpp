@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -692,6 +693,43 @@ TEST(EmdCrafted, OverflowingShapeIsRejected) {
   entry["offset"] = 1e300;
   EXPECT_FALSE(File::from_bytes(hand_built(Json::object({{"data", entry}}),
                                            blob)));
+}
+
+TEST(EmdCrafted, HeaderNestedTooDeepIsRejected) {
+  // A header whose attrs nest 10^5 arrays: the JSON parser stops at its
+  // depth limit with an error instead of recursing off the stack.
+  auto with_attr = [](const std::string& value) {
+    const std::string text = "{\"attrs\":{\"deep\":" + value +
+                             "},\"datasets\":{},\"groups\":{}}";
+    auto out = std::make_shared<std::vector<uint8_t>>();
+    util::ByteWriter w(out.get());
+    w.bytes(File::kMagic, 4);
+    w.u32(File::kVersion);
+    w.u64(text.size());
+    w.bytes(text.data(), text.size());
+    return out;
+  };
+  const int deep = 100000;
+  auto bytes = with_attr(std::string(deep, '[') + std::string(deep, ']'));
+  for (bool shared : {false, true}) {
+    auto re = shared ? File::from_shared(bytes) : File::from_bytes(*bytes);
+    ASSERT_FALSE(re) << shared;
+    EXPECT_EQ(re.error().code, "parse");
+    EXPECT_NE(re.error().message.find("nesting"), std::string::npos)
+        << re.error().message;
+  }
+  const std::string path = testing::TempDir() + "/pico_emd_too_deep.emd";
+  ASSERT_TRUE(util::write_file(path, *bytes));
+  auto mapped = File::load_mapped(path);
+  ASSERT_FALSE(mapped);
+  EXPECT_EQ(mapped.error().code, "parse");
+  std::remove(path.c_str());
+  // Just inside the limit (the header object and attrs are two levels).
+  const int fits = Json::kMaxParseDepth - 2;
+  auto ok = File::from_shared(
+      with_attr(std::string(fits, '[') + std::string(fits, ']')));
+  ASSERT_TRUE(ok) << ok.error().message;
+  EXPECT_TRUE(ok.value().root.attrs.count("deep"));
 }
 
 TEST(EmdCrafted, HmsaOffsetThatWrapsIsRejected) {
